@@ -10,6 +10,13 @@ the exact machinery to produce and parse them:
 * :mod:`~repro.bitio.combinatorial` — enumerative codes for subsets
   (interconnection patterns) and permutations (port assignments,
   relabellings).
+
+Two invariants hold throughout.  *Canonical padding*: a packed buffer has
+exactly ``ceil(length / 8)`` bytes and its pad bits are zero, so equal
+bit sequences have equal bytes.  *Word-level access*: bits move as whole
+fields (``int.from_bytes``, shifts and masks over the covering bytes), so
+packing, slicing and parsing cost O(bytes), never one Python step per
+bit.  The wire format is the plain MSB-first bit string either way.
 """
 
 from repro.bitio.bitarray import BitArray

@@ -8,6 +8,12 @@ The paper (Definition 4) relies on two self-delimiting codes:
 
 On top of those we provide unary and Elias gamma/delta codes, which the
 routing-table constructions (Theorem 1) and codecs use for small integers.
+
+Writes are word-level: every code is appended as whole ``value``/``width``
+fields straight into the byte buffer, at a cost of O(bytes written).  The
+buffer keeps the canonical padding of :class:`BitArray` (no bytes past
+``ceil(length / 8)``, pad bits zero), so :meth:`BitWriter.getvalue` and
+a byte-aligned :meth:`BitWriter.write_bits` are plain byte copies.
 """
 
 from __future__ import annotations
@@ -41,16 +47,20 @@ class BitWriter:
         """Append a single bit (0 or 1)."""
         if bit not in (0, 1):
             raise BitstreamError(f"bit must be 0 or 1, got {bit!r}")
-        if self._length % 8 == 0:
-            self._buf.append(0)
-        if bit:
-            self._buf[-1] |= 1 << (7 - (self._length % 8))
-        self._length += 1
+        self._append(1 if bit else 0, 1)
 
     def write_bits(self, bits: Iterable[int]) -> None:
-        """Append every bit of an iterable (e.g. a :class:`BitArray`)."""
-        for bit in bits:
-            self.write_bit(bit)
+        """Append every bit of an iterable (e.g. a :class:`BitArray`).
+
+        A :class:`BitArray` is appended as one field; any other iterable
+        is validated as a whole first, so a bad bit writes nothing.
+        """
+        array = bits if isinstance(bits, BitArray) else BitArray(bits)
+        if self._length & 7:
+            self._append(array.to_int(), len(array))
+        else:
+            self._buf += array.to_bytes()
+            self._length += len(array)
 
     def write_uint(self, value: int, width: int) -> None:
         """Append ``value`` as a fixed-width big-endian unsigned integer."""
@@ -58,8 +68,22 @@ class BitWriter:
             raise BitstreamError(f"width must be non-negative, got {width}")
         if value < 0 or value.bit_length() > width:
             raise BitstreamError(f"value {value} does not fit in {width} bits")
-        for i in range(width - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        self._append(value, width)
+
+    def _append(self, value: int, width: int) -> None:
+        """Append a field already known to fit: fill the free low bits of
+        the last byte, then extend by whole bytes."""
+        free = -self._length & 7
+        self._length += width
+        if free:
+            if width <= free:
+                self._buf[-1] |= value << (free - width)
+                return
+            width -= free
+            self._buf[-1] |= value >> width
+            value &= (1 << width) - 1
+        size = (width + 7) >> 3
+        self._buf += (value << ((size << 3) - width)).to_bytes(size, "big")
 
     # -- prefix codes ------------------------------------------------------
 
@@ -71,9 +95,7 @@ class BitWriter:
         """
         if value < 0:
             raise BitstreamError(f"unary value must be non-negative, got {value}")
-        for _ in range(value):
-            self.write_bit(1)
-        self.write_bit(0)
+        self._append(((1 << value) - 1) << 1, value + 1)
 
     def write_hat(self, payload: BitArray) -> None:
         """Append the paper's ``ẑ = 1^|z| 0 z`` self-delimiting code."""
@@ -87,8 +109,8 @@ class BitWriter:
         followed by ``z``; its length is ``|z| + 2⌈log(|z|+1)⌉ + 1``.
         """
         length = len(payload)
-        length_bits = BitArray.from_int(length, length.bit_length())
-        self.write_hat(length_bits)
+        self.write_unary(length.bit_length())
+        self._append(length, length.bit_length())
         self.write_bits(payload)
 
     def write_gamma(self, value: int) -> None:

@@ -91,24 +91,26 @@ class FullTableScheme(RoutingScheme):
         :class:`~repro.errors.RoutingError` and the walker records a
         NO_ROUTE drop.
         """
-        graph = self._graph
-        neighbors = graph.neighbors(u)
-        own_row = self._dist[u - 1, :]
-        table: Dict[int, int] = {}
+        neighbors = self._graph.neighbors(u)
         if not neighbors:
-            return table
-        neighbor_rows = self._dist[np.array(neighbors) - 1, :]
-        for w in graph.nodes:
-            if w == u or own_row[w - 1] < 0:
-                continue
-            on_shortest = neighbor_rows[:, w - 1] == own_row[w - 1] - 1
-            index = int(np.argmax(on_shortest))
-            if not on_shortest[index]:
-                raise SchemeBuildError(
-                    f"no shortest-path neighbour from {u} to {w}"
-                )
-            table[w] = self._ports.port(u, neighbors[index])
-        return table
+            return {}
+        own_row = self._dist[u - 1, :]
+        # One (deg x n) block: which neighbours lie on a shortest path to
+        # each destination; argmax down each column picks the least one.
+        on_shortest = self._dist[np.array(neighbors) - 1, :] == own_row - 1
+        first = on_shortest.argmax(axis=0)
+        reachable = own_row > 0
+        missing = np.flatnonzero(reachable & ~on_shortest.any(axis=0))
+        if missing.size:
+            raise SchemeBuildError(
+                f"no shortest-path neighbour from {u} to {int(missing[0]) + 1}"
+            )
+        ports = [self._ports.port(u, v) for v in neighbors]
+        columns = np.flatnonzero(reachable).tolist()
+        return {
+            col + 1: ports[index]
+            for col, index in zip(columns, first[reachable].tolist())
+        }
 
     # -- RoutingScheme interface ----------------------------------------------
 

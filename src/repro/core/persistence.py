@@ -52,9 +52,7 @@ def pack_scheme(scheme: RoutingScheme) -> bytes:
     writer.write_uint(_MAGIC, 8)
     writer.write_uint(_VERSION, 8)
     name_bytes = scheme.scheme_name.encode("utf-8")
-    name_bits = BitArray(
-        (byte >> (7 - i)) & 1 for byte in name_bytes for i in range(8)
-    )
+    name_bits = BitArray._from_packed(name_bytes, 8 * len(name_bytes))
     writer.write_prime(name_bits)
     writer.write_gamma(scheme.graph.n)
     for u in scheme.graph.nodes:
@@ -70,7 +68,8 @@ def unpack_blob(data: bytes) -> SchemeBlob:
 
     Hardened against hostile or damaged input: *every* malformed blob —
     truncated mid-field, garbage prime codes, a name that is not valid
-    UTF-8 — raises :class:`CodecError` with context, never a leaked
+    UTF-8, bytes past the header's length, set padding bits — raises
+    :class:`CodecError` with context, never a leaked
     :class:`BitstreamError`, ``UnicodeDecodeError`` or ``IndexError``.
     """
     if len(data) < 4:
@@ -79,6 +78,11 @@ def unpack_blob(data: bytes) -> SchemeBlob:
     payload = data[4:]
     if bit_length > 8 * len(payload):
         raise CodecError("blob length header exceeds payload")
+    if len(payload) != (bit_length + 7) // 8:
+        raise CodecError(
+            f"blob holds {len(payload)} payload bytes but its length header "
+            f"of {bit_length} bits needs {(bit_length + 7) // 8}"
+        )
     try:
         bits = BitArray._from_packed(payload, bit_length)
         reader = BitReader(bits)
@@ -90,10 +94,7 @@ def unpack_blob(data: bytes) -> SchemeBlob:
         name_bits = reader.read_prime()
         if len(name_bits) % 8:
             raise CodecError("scheme name is not byte-aligned")
-        name_bytes = bytes(
-            name_bits[8 * i : 8 * i + 8].to_int()
-            for i in range(len(name_bits) // 8)
-        )
+        name_bytes = name_bits.to_bytes()
         try:
             name = name_bytes.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -116,6 +117,8 @@ def unpack_blob(data: bytes) -> SchemeBlob:
                 f"blob declares n={n} but {reader.remaining} bits of "
                 "trailing data follow the last function"
             )
+        if bits.to_bytes() != payload:
+            raise CodecError("blob has non-zero padding after its last bit")
     except CodecError:
         raise
     except (BitstreamError, ValueError, OverflowError, MemoryError) as exc:

@@ -143,3 +143,44 @@ class TestProperties:
     def test_count_consistency(self, bits):
         array = BitArray(bits)
         assert array.count(1) + array.count(0) == len(array)
+
+
+class TestCanonicalPacking:
+    """Packed input with stray pad bits or extra bytes is normalised."""
+
+    def test_pad_bits_are_cleared(self):
+        bits = BitArray._from_packed(b"\xff", 3)
+        assert bits.to_bytes() == b"\xe0"
+        assert bits.count(0) == 0
+        assert bits.count(1) == 3
+
+    def test_equal_and_same_hash_as_built_array(self):
+        packed = BitArray._from_packed(b"\xff", 3)
+        built = BitArray([1, 1, 1])
+        assert packed == built
+        assert hash(packed) == hash(built)
+
+    def test_surplus_bytes_are_dropped(self):
+        bits = BitArray._from_packed(b"\xa5\xff\xff", 4)
+        assert bits.to_bytes() == b"\xa0"
+        assert bits == BitArray.from01("1010")
+
+    def test_empty_from_nonempty_buffer(self):
+        bits = BitArray._from_packed(b"\x01\x02", 0)
+        assert bits.to_bytes() == b""
+        assert bits == BitArray()
+
+    def test_capacity_still_checked(self):
+        with pytest.raises(BitstreamError, match="exceeds capacity"):
+            BitArray._from_packed(b"\x00", 9)
+
+    @given(st.binary(max_size=16), st.data())
+    def test_matches_its_own_bits(self, buf, data):
+        length = data.draw(st.integers(0, 8 * len(buf)))
+        bits = BitArray._from_packed(buf, length)
+        expected = BitArray.from01(
+            "".join(format(byte, "08b") for byte in buf)[:length]
+        )
+        assert bits == expected
+        assert bits.to_bytes() == expected.to_bytes()
+        assert len(bits.to_bytes()) == (length + 7) // 8

@@ -112,3 +112,45 @@ class TestProperties:
         graph = LabeledGraph(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
         scheme = FullTableScheme(graph, model_ia_alpha)
         assert scheme.function(1).next_hop(4).next_node == 2
+
+
+def _reference_table(scheme, u):
+    """The per-(u, w) build: least neighbour on a shortest path to w."""
+    dist = scheme._dist
+    table = {}
+    for w in scheme.graph.nodes:
+        if w == u or dist[u - 1, w - 1] < 0:
+            continue
+        for v in scheme.graph.neighbors(u):
+            if dist[v - 1, w - 1] == dist[u - 1, w - 1] - 1:
+                table[w] = scheme.port_assignment.port(u, v)
+                break
+    return table
+
+
+class TestBuildAgainstReference:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_random_graph_tables(self, seed, model_ia_alpha):
+        graph = gnp_random_graph(40, seed=seed)
+        ports = PortAssignment.shuffled(graph, random.Random(seed))
+        scheme = FullTableScheme(graph, model_ia_alpha, ports=ports)
+        for u in graph.nodes:
+            assert scheme._tables[u] == _reference_table(scheme, u)
+
+    def test_unreachable_and_isolated_nodes(self, model_ia_alpha):
+        graph = LabeledGraph(7, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6)])
+        scheme = FullTableScheme(graph, model_ia_alpha, allow_unreachable=True)
+        for u in graph.nodes:
+            assert scheme._tables[u] == _reference_table(scheme, u)
+        assert scheme._tables[7] == {}
+        assert sorted(scheme._tables[4]) == [5, 6]
+
+    def test_inconsistent_distances_name_the_first_destination(
+        self, model_ia_alpha
+    ):
+        scheme = FullTableScheme(cycle_graph(8), model_ia_alpha)
+        scheme._dist = scheme._dist.copy()
+        scheme._dist[0, 4] = 9  # no neighbour of 1 sits at distance 8 from 5
+        scheme._dist[0, 5] = 9
+        with pytest.raises(SchemeBuildError, match="from 1 to 5$"):
+            scheme._build_table(1)

@@ -102,3 +102,21 @@ def test_trailing_garbage_is_rejected():
     data = bits.to_bytes(4, "big") + _BLOB[4:] + b"\xa5\x5a"
     with pytest.raises(CodecError, match="trailing"):
         unpack_blob(data)
+
+
+def test_trailing_bytes_past_the_header_are_rejected():
+    # The header is left alone: the extra bytes lie past its bit length.
+    with pytest.raises(CodecError, match="payload bytes"):
+        unpack_blob(_BLOB + b"GARBAGE")
+    with pytest.raises(CodecError, match="payload bytes"):
+        unpack_blob(_BLOB + b"\x00")
+
+
+def test_set_padding_bit_is_rejected():
+    pad = -int.from_bytes(_BLOB[:4], "big") % 8
+    assert pad, "the fixture blob must end mid-byte"
+    for bit in range(pad):
+        mutated = bytearray(_BLOB)
+        mutated[-1] |= 1 << bit
+        with pytest.raises(CodecError, match="padding"):
+            unpack_blob(bytes(mutated))
