@@ -15,11 +15,16 @@ from typing import Any, Dict, Hashable, Optional
 import numpy as np
 
 from repro.bitio import BitArray, BitReader, BitWriter
-from repro.errors import RoutingError, SchemeBuildError
+from repro.errors import PortAssignmentError, RoutingError, SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph, PortAssignment
 from repro.models import RoutingModel
 from repro.observability import profile_section
-from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
+from repro.core.scheme import (
+    HopDecision,
+    LocalRoutingFunction,
+    RoutingScheme,
+    exact_int_array,
+)
 
 __all__ = ["FullTableScheme", "PortTableFunction"]
 
@@ -46,6 +51,22 @@ class PortTableFunction(LocalRoutingFunction):
     def next_hop(self, destination: Hashable, state: Any = None) -> HopDecision:
         port = self.port_for(int(destination))
         return HopDecision(self._assignment.neighbor(self.node, port))
+
+    def next_hop_row(self, addresses: np.ndarray) -> Optional[np.ndarray]:
+        """Gather every destination's port through the port → neighbour list."""
+        n = len(addresses)
+        try:
+            by_port = self._assignment.neighbors_by_port(self.node)
+        except PortAssignmentError:
+            return None
+        keys = exact_int_array(self._ports.keys(), 1, n)
+        ports = exact_int_array(self._ports.values(), 1, len(by_port))
+        hops = exact_int_array(by_port, 1, n)
+        if keys is None or ports is None or hops is None:
+            return None
+        lookup = np.full(n + 1, -1, dtype=np.int64)
+        lookup[keys] = hops[ports - 1]
+        return lookup[addresses]
 
 
 class FullTableScheme(RoutingScheme):

@@ -16,12 +16,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import RoutingError, SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph
 from repro.models import RoutingModel, minimal_label_bits
 from repro.observability import profile_section
-from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
+from repro.core.scheme import (
+    HopDecision,
+    LocalRoutingFunction,
+    RoutingScheme,
+    exact_int_array,
+)
 
 __all__ = ["IntervalRoutingScheme", "IntervalFunction"]
 
@@ -54,6 +61,31 @@ class IntervalFunction(LocalRoutingFunction):
                 f"subtree intervals"
             )
         return HopDecision(self._parent)
+
+    def next_hop_row(self, addresses: np.ndarray) -> Optional[np.ndarray]:
+        """The parent by default, child intervals over it, ``-1`` at the root.
+
+        Children are assigned last to first, so where intervals overlap
+        the first matching child wins, as in :meth:`next_hop`.
+        """
+        n = len(addresses)
+        int64 = np.iinfo(np.int64)
+        hops = [child for child, _ in self._children]
+        if self._parent is not None:
+            hops.append(self._parent)
+        numbers = [bound for _, interval in self._children for bound in interval]
+        numbers.append(self._own)
+        if (
+            exact_int_array(hops, 1, n) is None
+            or exact_int_array(numbers, int(int64.min), int(int64.max)) is None
+        ):
+            return None
+        parent = -1 if self._parent is None else self._parent
+        row = np.full(n, parent, dtype=np.int64)
+        for child, (lo, hi) in reversed(self._children):
+            row[(addresses >= lo) & (addresses <= hi)] = child
+        row[addresses == self._own] = -1
+        return row
 
 
 class IntervalRoutingScheme(RoutingScheme):

@@ -11,14 +11,40 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Collection, Dict, Hashable, Optional
+
+import numpy as np
 
 from repro.bitio import BitArray
 from repro.errors import RoutingError
 from repro.graphs import GraphContext, LabeledGraph, get_context
 from repro.models import NodeSpace, RoutingModel, SpaceReport
 
-__all__ = ["HopDecision", "LocalRoutingFunction", "RoutingScheme", "StaticFunction"]
+__all__ = [
+    "HopDecision",
+    "LocalRoutingFunction",
+    "RoutingScheme",
+    "StaticFunction",
+    "exact_int_array",
+]
+
+
+def exact_int_array(
+    values: Collection[Any], low: int, high: int
+) -> Optional[np.ndarray]:
+    """``values`` as an ``int64`` array if each is an ``int`` in ``low..high``.
+
+    None otherwise.  The guard :meth:`LocalRoutingFunction.next_hop_row` implementations
+    put on their decoded data.  Only exact ``int`` objects pass: a float,
+    a bool or a numpy scalar behaves differently under the scalar
+    ``next_hop`` path's ``isinstance``/hash rules, so a row holding one is
+    left to that path, which handles it exactly.
+    """
+    if not set(map(type, values)) <= {int}:
+        return None
+    if values and not (low <= min(values) and max(values) <= high):
+        return None
+    return np.fromiter(values, dtype=np.int64, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -53,6 +79,28 @@ class LocalRoutingFunction(abc.ABC):
         addresses; the paper's model γ explicitly assumes only valid labels
         are presented).
         """
+
+    def next_hop_row(self, addresses: np.ndarray) -> Optional[np.ndarray]:
+        """Every destination's next node at once, or None to decline.
+
+        ``addresses`` is an ``int64`` array of length ``n`` whose entry
+        ``d - 1`` is the address of node ``d`` (every entry an address in
+        ``1..n``).  The answer is an integer array of the same length
+        whose entry ``d - 1`` is what :meth:`next_hop` would return for
+        ``addresses[d - 1]``: the ``next_node`` of its decision, or ``-1``
+        where it raises :class:`~repro.errors.RoutingError`.  The entry
+        for the function's own node is ignored.  An implementation answers
+        only when that holds exactly for every entry — every decision
+        stateless, every ``next_node`` a plain ``int`` in ``1..n``, no
+        other exception — and returns None otherwise (a port past the
+        degree, a key outside ``1..n``).
+
+        :meth:`~repro.graphs.context.GraphContext.next_hop_matrix` takes
+        an answered row as one array and asks :meth:`next_hop` per
+        destination only for rows answered None, so declining is always
+        correct, only slower.  The default declines.
+        """
+        return None
 
 
 class RoutingScheme(abc.ABC):

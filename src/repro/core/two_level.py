@@ -25,12 +25,19 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.bitio import BitArray, BitReader, BitWriter
 from repro.errors import GraphError, RoutingError, SchemeBuildError
 from repro.graphs import GraphContext, LabeledGraph, covering_sequence
 from repro.models import RoutingModel
 from repro.observability import profile_section
-from repro.core.scheme import HopDecision, LocalRoutingFunction, RoutingScheme
+from repro.core.scheme import (
+    HopDecision,
+    LocalRoutingFunction,
+    RoutingScheme,
+    exact_int_array,
+)
 
 __all__ = [
     "TwoLevelScheme",
@@ -77,6 +84,22 @@ class TwoLevelFunction(LocalRoutingFunction):
             raise RoutingError(
                 f"node {self.node}: no intermediate entry for {dest}"
             ) from exc
+
+    def next_hop_row(self, addresses: np.ndarray) -> Optional[np.ndarray]:
+        """Neighbours map to themselves, others through the intermediate map.
+
+        ``-1`` where neither has an entry, as :meth:`next_hop` raises there.
+        """
+        n = len(addresses)
+        neighbors = exact_int_array(self._neighbor_set, 1, n)
+        keys = exact_int_array(self._intermediate.keys(), 1, n)
+        hops = exact_int_array(self._intermediate.values(), 1, n)
+        if neighbors is None or keys is None or hops is None:
+            return None
+        lookup = np.full(n + 1, -1, dtype=np.int64)
+        lookup[keys] = hops
+        lookup[neighbors] = neighbors
+        return lookup[addresses]
 
     def intermediate_for(self, destination: int) -> int:
         """The covering neighbour used for a non-adjacent destination."""

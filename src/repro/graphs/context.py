@@ -514,30 +514,6 @@ class GraphContext:
             raise GraphError("pristine-bits cache keyed a recycled scheme id")
         return bits
 
-    def port_matrix(self) -> np.ndarray:
-        """The identity port table as a dense C-contiguous ``int32`` array.
-
-        ``matrix[u - 1, p]`` is the neighbour that port ``p`` of node ``u``
-        leads to, padded with ``-1`` past ``degree(u)``.  Shape is
-        ``[n, max_degree]`` (at least one column), derived from
-        :meth:`port_table` and frozen read-only so the batch kernel can
-        gather from it without per-step copies.
-        """
-
-        def _compute() -> np.ndarray:
-            graph = self._graph
-            table = self.port_table()
-            width = max((graph.degree(u) for u in graph.nodes), default=0)
-            matrix = np.full((graph.n, max(width, 1)), -1, dtype=np.int32)
-            for u in graph.nodes:
-                for port in range(graph.degree(u)):
-                    matrix[u - 1, port] = table.neighbor(u, port)
-            matrix = np.ascontiguousarray(matrix)
-            matrix.setflags(write=False)
-            return matrix
-
-        return self._memo("port_matrix", None, _compute)
-
     def next_hop_matrix(self, scheme: "RoutingScheme") -> Optional[np.ndarray]:
         """A dense next-hop lookup for ``scheme``, or None if not derivable.
 
@@ -552,6 +528,17 @@ class GraphContext:
         functions, or evaluation fails in a scheme-specific way — batch
         consumers then fall back to scalar routing wholesale.
 
+        Each row is derived in one of two ways with the same result.  The
+        destinations' addresses are computed once; when they are all
+        ``int`` labels in ``1..n`` the local function at ``u`` is offered
+        them whole through
+        :meth:`~repro.core.scheme.LocalRoutingFunction.next_hop_row`, and
+        an answered row becomes ``u``'s matrix row under one adjacency
+        mask (a next node that is ``u`` itself or not a neighbour becomes
+        ``-2``).  A row answered None — and every row of a function type
+        without a row method — is derived by one scalar ``next_hop`` call
+        and one edge test per destination, as above.
+
         Keyed on the scheme *instance* (like :meth:`pristine_bits`) with a
         strong reference pinning it against id recycling; the array is
         C-contiguous ``int32`` and frozen read-only.
@@ -561,11 +548,14 @@ class GraphContext:
             # Imported lazily: core imports graphs, so graphs cannot import
             # core at module scope.
             from repro.core.detour import DetourFunction
+            from repro.core.scheme import exact_int_array
             from repro.errors import ReproError, RoutingError
 
             graph = self._graph
             n = graph.n
             matrix = np.full((n, n), -2, dtype=np.int32)
+            address_list = [scheme.address_of(d) for d in graph.nodes]
+            addresses = exact_int_array(address_list, 1, n)
             for u in graph.nodes:
                 try:
                     function = scheme.function(u)
@@ -573,10 +563,17 @@ class GraphContext:
                     return (scheme, None)
                 if isinstance(function, DetourFunction):
                     return (scheme, None)
+                if addresses is not None:
+                    row = _masked_row(
+                        u, function.next_hop_row(addresses), scheme.graph
+                    )
+                    if row is not None:
+                        matrix[u - 1] = row
+                        continue
                 for d in graph.nodes:
                     if d == u:
                         continue
-                    address = scheme.address_of(d)
+                    address = address_list[d - 1]
                     try:
                         decision = function.next_hop(address)
                     except RoutingError:
@@ -607,6 +604,30 @@ class GraphContext:
             f"GraphContext(n={self._graph.n}, edges={self._graph.edge_count}, "
             f"cached={sorted(self.cached_kinds())})"
         )
+
+
+def _masked_row(
+    u: int, row: Optional[np.ndarray], graph: LabeledGraph
+) -> Optional[np.ndarray]:
+    """``u``'s next-hop matrix row from an answered ``next_hop_row``.
+
+    Entries that name ``u`` or a non-neighbour become ``-2``, ``-1`` stays
+    ``-1``, the diagonal is ``-2``.  None when there is no answer or it
+    breaks the row contract (wrong shape, a value outside ``-1`` and
+    ``1..n``), so the caller derives the row per destination instead.
+    """
+    n = graph.n
+    if row is None or row.shape != (n,) or row.dtype.kind not in "iu":
+        return None
+    if row.min() < -1 or row.max() > n or not row.all():
+        return None
+    # No self-loops, so the mask also turns a hop back to ``u`` into -2;
+    # "wrap" keeps the -1 entries' index in range, (row > 0) drops them.
+    usable = (row > 0) & graph.adjacency_matrix()[u - 1].take(row - 1, mode="wrap")
+    masked = np.where(usable, row, -2)
+    masked[row == -1] = -1
+    masked[u - 1] = -2
+    return masked
 
 
 # -- process-wide store -------------------------------------------------------

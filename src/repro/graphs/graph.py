@@ -97,6 +97,7 @@ class LabeledGraph:
 
         This is the set ``A₀`` of Theorem 1.
         """
+        self._check_node(u)
         adjacent = self._adj_sets[u]
         return tuple(
             w for w in self.nodes if w != u and w not in adjacent

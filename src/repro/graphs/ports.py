@@ -13,7 +13,7 @@ shortest-path routing function must reproduce it.
 from __future__ import annotations
 
 import random
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import PortAssignmentError
 from repro.graphs.graph import LabeledGraph
@@ -102,6 +102,14 @@ class PortAssignment:
             raise PortAssignmentError(
                 f"node {u} has no port {port}"
             ) from exc
+
+    def neighbors_by_port(self, u: int) -> Tuple[int, ...]:
+        """Neighbours of ``u`` in port order: entry ``p - 1`` sits on port ``p``."""
+        try:
+            at = self._neighbor_at[u]
+        except KeyError as exc:
+            raise PortAssignmentError(f"node {u} has no ports") from exc
+        return tuple(at[port] for port in range(1, len(at) + 1))
 
     def permutation_at(self, u: int) -> tuple[int, ...]:
         """Ports as a permutation relative to the sorted neighbour order.

@@ -78,6 +78,13 @@ class TestAccess:
         with pytest.raises(GraphError):
             graph.neighbors(4)
 
+    @pytest.mark.parametrize("node", [0, 4, -1])
+    def test_non_neighbors_range_check(self, node):
+        # Used to return every node for 0 and leak IndexError for n + 1.
+        graph = LabeledGraph(3, [(1, 2)])
+        with pytest.raises(GraphError, match="outside range"):
+            graph.non_neighbors(node)
+
 
 class TestMatrix:
     def test_adjacency_matrix_symmetric(self):

@@ -75,6 +75,10 @@ class TestShuffled:
         for u in graph.nodes:
             for nb in graph.neighbors(u):
                 assert ports.neighbor(u, ports.port(u, nb)) == nb
+            by_port = ports.neighbors_by_port(u)
+            assert by_port == tuple(
+                ports.neighbor(u, p) for p in range(1, graph.degree(u) + 1)
+            )
 
 
 class TestLookups:
@@ -89,6 +93,12 @@ class TestLookups:
         ports = PortAssignment.identity(graph)
         with pytest.raises(PortAssignmentError):
             ports.neighbor(1, 2)
+
+    def test_neighbors_by_port_rejects_unknown_node(self):
+        ports = PortAssignment.identity(LabeledGraph(3, [(1, 2)]))
+        assert ports.neighbors_by_port(3) == ()
+        with pytest.raises(PortAssignmentError):
+            ports.neighbors_by_port(4)
 
     def test_graph_property(self):
         graph = path_graph(3)
