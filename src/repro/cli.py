@@ -96,15 +96,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 import time as _time
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.core import available_schemes, build_scheme, route_message, verify_scheme
 from repro.core.persistence import pack_scheme
 from repro.errors import ReproError
 from repro.graphs import (
+    LabeledGraph,
     certify_random_graph,
     cycle_graph,
     gnp_random_graph,
@@ -132,6 +134,7 @@ from repro.observability import (
 )
 from repro.observability.bench import format_comparison as _format_bench_diff
 from repro.simulator import (
+    DeliveryRecord,
     DetourWrapper,
     EventDrivenSimulator,
     MutationKind,
@@ -149,6 +152,7 @@ from repro.simulator import (
     table_corruption,
 )
 from repro.store import LocalFilesystem, SchemeStore
+from repro.simulator.sweep import default_model, run_sweep, seed_replicas
 from repro.simulator.workloads import (
     all_to_one,
     hotspot_pairs,
@@ -247,18 +251,13 @@ def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
     )
 
 
-def _batch_parent() -> argparse.ArgumentParser:
-    """Shared ``--batch``/``--workers`` flags for every simulate command.
+def _workers_parent() -> argparse.ArgumentParser:
+    """The shared ``--workers`` flag for every simulate command.
 
     Same parent-parser pattern as :func:`_retry_parent`: one definition,
     composed into each subcommand instead of repeated per parser.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--batch", action="store_true",
-        help="route through the vectorised batch kernel (bit-identical "
-             "records to the scalar path under the same configuration)",
-    )
     parent.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="run N seed replicas (seed..seed+N-1) through the "
@@ -371,12 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--pairs", type=int, default=500)
     verify.add_argument("--model", type=parse_model, default=None)
 
-    batch_parent = _batch_parent()
+    workers_parent = _workers_parent()
 
     simulate = sub.add_parser(
         "simulate",
         help="run a workload through the simulator",
-        parents=[batch_parent],
+        parents=[workers_parent],
+    )
+    simulate.add_argument(
+        "--batch", action="store_true",
+        help="route through the timed batch kernel (all messages at time "
+             "0, unit hop latency) instead of the untimed hop-by-hop walk",
     )
     simulate.add_argument("scheme", choices=available_schemes())
     simulate.add_argument("n", type=int)
@@ -402,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "simulate-chaos",
         help="run the event engine under a dynamic fault schedule",
-        parents=[retry_parent, batch_parent],
+        parents=[retry_parent, workers_parent],
     )
     chaos.add_argument("scheme", choices=available_schemes())
     chaos.add_argument("n", type=int)
@@ -452,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate-corruption",
         help="run the event engine while seeded faults corrupt routing "
              "tables mid-run (integrity framing + self-healing)",
-        parents=[retry_parent, batch_parent],
+        parents=[retry_parent, workers_parent],
     )
     corruption.add_argument("scheme", choices=available_schemes())
     corruption.add_argument("n", type=int)
@@ -510,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate-churn",
         help="run the event engine under live topology churn with "
              "incremental scheme repair and convergence reporting",
-        parents=[retry_parent, batch_parent],
+        parents=[retry_parent, workers_parent],
     )
     churn.add_argument("scheme", choices=available_schemes())
     churn.add_argument("n", type=int)
@@ -745,14 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_model(scheme: str) -> RoutingModel:
-    if scheme == "thm2-neighbor-labels":
-        return RoutingModel(Knowledge.II, Labeling.GAMMA)
-    if scheme in ("interval", "chain-comparison"):
-        return RoutingModel(Knowledge.II, Labeling.BETA)
-    return RoutingModel(Knowledge.II, Labeling.ALPHA)
-
-
 def _cmd_schemes(_: argparse.Namespace) -> int:
     for name in available_schemes():
         print(name)
@@ -776,7 +772,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -799,7 +795,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     trace = route_message(scheme, args.source, args.destination)
@@ -809,7 +805,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     result = verify_scheme(scheme, sample_pairs=args.pairs, seed=args.seed)
@@ -819,7 +815,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok() else 1
 
 
-
 def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     """Shard N seed replicas of a simulate command over worker processes.
 
@@ -827,8 +822,6 @@ def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     the command's kernel-expressible knobs; records never cross the
     process boundary, only per-replica aggregates and record digests.
     """
-    from repro.simulator.sweep import run_sweep, seed_replicas
-
     if args.workload not in ("uniform", "hotspot", "permutation"):
         print(f"--workers sweeps support uniform/hotspot/permutation "
               f"workloads, not {args.workload!r}", file=sys.stderr)
@@ -895,7 +888,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _cmd_sweep_replicas(args, "plain")
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -946,9 +939,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
-    import random as _random
+def _run_timed(
+    args: argparse.Namespace,
+    graph: LabeledGraph,
+    sim: EventDrivenSimulator,
+    tracer: Optional[JsonlTracer],
+) -> List[DeliveryRecord]:
+    """Inject a timed command's workload over ``[0, 0.8 * horizon]`` and run.
 
+    The pairs and the injection clock are seeded from ``--seed``; the
+    trace file (if any) is closed once the run has drained.
+    """
+    if args.workload == "uniform":
+        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
+    elif args.workload == "hotspot":
+        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
+    else:
+        pairs = permutation_traffic(graph, seed=args.seed)
+    clock = random.Random(args.seed)
+    for source, destination in pairs:
+        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
+    records = sim.run()
+    if tracer is not None:
+        tracer.close()
+    return records
+
+
+def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
     if args.workers > 1:
         if args.schedule != "renewal":
             print("--workers sweeps support only the renewal schedule",
@@ -956,7 +973,7 @@ def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
             return 2
         return _cmd_sweep_replicas(args, "chaos")
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -983,39 +1000,16 @@ def _cmd_simulate_chaos(args: argparse.Namespace) -> int:
             graph, regions=args.regions, radius=args.radius,
             duration=args.outage, horizon=args.horizon, seed=args.seed,
         )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
     retry = _retry_policy(args)
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        sim = BatchKernel(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-        )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
-    if tracer is not None:
-        tracer.close()
+    sim = EventDrivenSimulator(
+        scheme,
+        fault_schedule=schedule,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+    )
+    records = _run_timed(args, graph, sim, tracer)
     metrics = summarize(records, graph)
     manifest = manifest.completed(_time.perf_counter() - started)
     _write_metrics_out(args, manifest)
@@ -1058,12 +1052,10 @@ _MUTATION_CHOICES = {
 
 
 def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
-    import random as _random
-
     if args.workers > 1:
         return _cmd_sweep_replicas(args, "corruption")
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -1087,42 +1079,18 @@ def _cmd_simulate_corruption(args: argparse.Namespace) -> int:
         burst_span=args.burst_span,
         truncate_bits=args.truncate_bits,
     )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
     retry = _retry_policy(args)
     repair_delay = args.repair_delay if args.repair_delay > 0 else None
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        sim = BatchKernel(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            repair_delay=repair_delay,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            fault_schedule=schedule,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            repair_delay=repair_delay,
-        )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
-    if tracer is not None:
-        tracer.close()
+    sim = EventDrivenSimulator(
+        scheme,
+        fault_schedule=schedule,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+        repair_delay=repair_delay,
+    )
+    records = _run_timed(args, graph, sim, tracer)
     metrics = summarize(records, graph)
     lifecycle = sim.network.corruption_summary()
     integrity_overhead = scheme.space_report().integrity_bits
@@ -1180,12 +1148,10 @@ _CHURN_KINDS = {
 
 
 def _cmd_simulate_churn(args: argparse.Namespace) -> int:
-    import random as _random
-
     if args.workers > 1:
         return _cmd_sweep_replicas(args, "churn")
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)
@@ -1196,48 +1162,19 @@ def _cmd_simulate_churn(args: argparse.Namespace) -> int:
         seed=args.seed,
         kinds=_CHURN_KINDS[args.kinds],
     )
-    if args.workload == "uniform":
-        pairs = uniform_pairs(graph, args.messages, seed=args.seed)
-    elif args.workload == "hotspot":
-        pairs = hotspot_pairs(graph, args.messages, seed=args.seed)
-    else:
-        pairs = permutation_traffic(graph, seed=args.seed)
     retry = _retry_policy(args)
     tracer = _open_tracer(args, manifest)
-    sim: "EventDrivenSimulator | BatchKernel"
-    if args.batch:
-        from repro.simulator.kernel import BatchKernel
-
-        if args.repair_rate is not None:
-            print("--batch installs repairs instantly; --repair-rate "
-                  "needs the scalar engine", file=sys.stderr)
-            return 2
-        sim = BatchKernel(
-            scheme,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            churn_schedule=schedule,
-            churn_repair_delay=args.repair_delay,
-            incremental_repair=not args.full_rebuild,
-        )
-    else:
-        sim = EventDrivenSimulator(
-            scheme,
-            retry_policy=retry,
-            retry_seed=args.seed,
-            tracer=tracer,
-            churn_schedule=schedule,
-            churn_repair_delay=args.repair_delay,
-            churn_repair_rate=args.repair_rate,
-            incremental_repair=not args.full_rebuild,
-        )
-    clock = _random.Random(args.seed)
-    for source, destination in pairs:
-        sim.inject(source, destination, clock.uniform(0.0, args.horizon * 0.8))
-    records = sim.run()
-    if tracer is not None:
-        tracer.close()
+    sim = EventDrivenSimulator(
+        scheme,
+        retry_policy=retry,
+        retry_seed=args.seed,
+        tracer=tracer,
+        churn_schedule=schedule,
+        churn_repair_delay=args.repair_delay,
+        churn_repair_rate=args.repair_rate,
+        incremental_repair=not args.full_rebuild,
+    )
+    records = _run_timed(args, graph, sim, tracer)
     # Stretch is judged against the post-churn topology: that is the graph
     # the converged scheme routes on.
     metrics = summarize(records, sim.network.live_graph)
@@ -1315,7 +1252,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     from repro.simulator import simulate_dissemination
 
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     scheme = build_scheme(args.scheme, graph, model)
     result = simulate_dissemination(
@@ -1527,7 +1464,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 
 def _store_put(args: argparse.Namespace) -> int:
     started = _time.perf_counter()
-    model = args.model or _default_model(args.scheme)
+    model = args.model or default_model(args.scheme)
     graph = gnp_random_graph(args.n, seed=args.seed)
     manifest = _run_manifest(args, graph)
     scheme = build_scheme(args.scheme, graph, model)

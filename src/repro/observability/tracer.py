@@ -1,8 +1,10 @@
 """Hop-level tracing of simulated message routing.
 
 A tracer receives one flat :class:`TraceEvent` per interesting moment of a
-message's life inside :class:`~repro.simulator.network.Network` or
-:class:`~repro.simulator.network.EventDrivenSimulator`:
+message's life inside the untimed walker
+(:class:`~repro.simulator.network.Network`) or the timed engine
+(:class:`~repro.simulator.kernel.BatchKernel`, also named
+``EventDrivenSimulator``):
 
 ``inject``
     The message enters the network (records source, destination, time).

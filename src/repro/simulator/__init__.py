@@ -1,16 +1,15 @@
 """Message-level network simulator.
 
 Executes any :class:`~repro.core.scheme.RoutingScheme` on its graph:
-immediate walking (:class:`~repro.simulator.network.Network`), discrete
-events (:class:`~repro.simulator.network.EventDrivenSimulator`),
-reproducible static failure injection (:mod:`~repro.simulator.failures`),
-dynamic chaos schedules (:mod:`~repro.simulator.chaos`), live topology
+immediate walking (:class:`~repro.simulator.network.Network`), timed
+routing through the batch kernel
+(:class:`~repro.simulator.kernel.BatchKernel`, also named
+``EventDrivenSimulator``), reproducible static failure injection
+(:mod:`~repro.simulator.failures`), dynamic chaos schedules (:mod:`~repro.simulator.chaos`), live topology
 churn with incremental repair (:mod:`~repro.simulator.churn`),
 retry/backoff recovery (:mod:`~repro.simulator.recovery`),
-delivery/stretch/resilience metrics, a vectorised batch kernel behind a
-scalar-equivalent boundary (:mod:`~repro.simulator.kernel`), and a
-multiprocessing sweep driver sharding ``(graph, seed)`` instances
-(:mod:`~repro.simulator.sweep`).
+delivery/stretch/resilience metrics, and a multiprocessing sweep driver
+sharding ``(graph, seed)`` instances (:mod:`~repro.simulator.sweep`).
 """
 
 from repro.simulator.bootstrap import BootstrapResult, simulate_dissemination
@@ -38,7 +37,7 @@ from repro.simulator.failures import (
     sample_link_failures,
     sample_node_failures,
 )
-from repro.simulator.kernel import BatchKernel, run_batch
+from repro.simulator.kernel import BatchKernel, EventDrivenSimulator, run_batch
 from repro.simulator.message import (
     DeliveryRecord,
     DropReason,
@@ -52,7 +51,7 @@ from repro.simulator.metrics import (
     retry_histogram,
     summarize,
 )
-from repro.simulator.network import EventDrivenSimulator, Network
+from repro.simulator.network import Network
 from repro.simulator.recovery import DetourWrapper, RetryPolicy
 from repro.simulator.sweep import (
     SweepResult,

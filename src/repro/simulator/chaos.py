@@ -2,8 +2,8 @@
 
 The static failure sets in :mod:`repro.simulator.failures` freeze the
 network before a run.  A :class:`FaultSchedule` instead evolves the failure
-set *during* an :class:`~repro.simulator.network.EventDrivenSimulator` run:
-links flap, nodes crash and recover, whole regions go dark and come back.
+set *during* a timed :class:`~repro.simulator.kernel.BatchKernel` run
+(``EventDrivenSimulator`` is the same class): links flap, nodes crash and recover, whole regions go dark and come back.
 That is the regime the paper's full-information schemes are designed for
 ("allow alternative, shortest, paths to be taken whenever an outgoing link
 is down") and the one where retry/backoff recovery actually pays off —

@@ -3,8 +3,8 @@
 A :class:`~repro.simulator.chaos.FaultSchedule` perturbs the *availability*
 of links and nodes — every fault can be undone and the graph underneath
 never changes.  A :class:`ChurnSchedule` instead mutates the topology
-itself while an :class:`~repro.simulator.network.EventDrivenSimulator` is
-running: links appear and disappear permanently, nodes leave and rejoin.
+itself while a timed :class:`~repro.simulator.kernel.BatchKernel`
+(``EventDrivenSimulator``) is running: links appear and disappear permanently, nodes leave and rejoin.
 After a mutation the installed routing tables are *stale* — they describe
 a graph that no longer exists — and the simulator's convergence layer
 repairs them incrementally (see :mod:`repro.core.repair`), measuring how

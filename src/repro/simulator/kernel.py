@@ -1,10 +1,20 @@
-"""Vectorised batch routing kernel behind a scalar-equivalent boundary.
+"""The timed routing engine: a vectorised batch kernel with a scalar lane.
 
-:class:`BatchKernel` advances *all* in-flight messages one generation of
-hops at a time over the struct-of-arrays
-:class:`~repro.simulator.message.MessageBatch`.  Each generation splits
-the cohort (the messages whose ready time equals the current simulated
-time) into two lanes:
+:class:`BatchKernel` is the only engine that routes messages through
+simulated time (:class:`EventDrivenSimulator` is the same class under
+its historical name).  Messages live as rows of the struct-of-arrays
+:class:`~repro.simulator.message.MessageBatch`; fault, corruption and
+churn events sit on a separate control heap and run before any message
+due at the same time.
+
+Messages are scheduled on a heap of ``(ready time, entry, rows)``
+entries.  Every row carries the sequence number of its last push, so the
+rows due at one time (a *cohort*) are taken in push order: injection
+order first, then the order in which earlier cohorts moved them.  A
+cohort of fewer than :data:`SCALAR_COHORT` rows, or any cohort while
+``node_service_time`` is positive (nodes then share a FIFO processor),
+runs row by row through the scalar step.  A larger cohort splits into two
+lanes:
 
 * the **fast lane** — messages whose next step is provably a clean
   advance or a clean delivery.  Eligibility is decided by pure numpy mask
@@ -13,39 +23,33 @@ time) into two lanes:
   failure masks (:func:`~repro.simulator.chaos.failure_masks`), the live
   adjacency under churn (:func:`~repro.simulator.churn.adjacency_mask`)
   and overlay masks for corrupted/quarantined/healed/updated tables.
-  Fast rows gather their next hop from the matrix and scatter it back in
-  one vector operation — no Python per message.
+  Fast rows gather their next hop from the matrix, scatter it back in
+  one vector operation and go back on the heap as one entry.
 * the **slow lane** — everything else: traced messages (span emission),
   arrivals needing promotion, anything adjacent to a failure, overlay or
   churn boundary, stateful headers, hop-limit and loop candidates.  Slow
-  rows replay the *exact* scalar step of
-  :class:`~repro.simulator.network.EventDrivenSimulator` (same check
-  order, same :meth:`~repro.simulator.network.Network._choose_hop`, same
-  drop details, spans and counters), in ascending row order.
+  rows take the scalar step (:meth:`BatchKernel._step_one`: the fixed
+  check order, :meth:`~repro.simulator.network.Network._choose_hop`, drop
+  details, spans and counters) in push order.
 
 Because fast-lane eligibility is deliberately conservative — a row is
-fast only when no shared state it touches can change this generation —
-``batch=True`` and ``batch=False`` (every row through the slow lane)
+fast only when no shared state it touches can change within its cohort —
+``batch=True`` and ``batch=False`` (every row through the scalar step)
 produce **bit-identical** :class:`~repro.simulator.message.DeliveryRecord`
-streams.  That equivalence is the batch boundary's contract, enforced by
-a hypothesis property over every registered scheme with chaos, churn and
-corruption enabled.
+streams and span streams.  That equivalence is the batch boundary's
+contract, enforced by a hypothesis property over every registered scheme
+with chaos, churn, corruption, link latency and queues enabled, and by
+traced runs that compare span streams.
 
-Relation to the event engine: the kernel is the engine restricted to
-``link_latency=1.0``, ``node_service_time=0``, unbounded queues and
-instantaneous churn installs (``churn_repair_rate`` has no batched
-counterpart).  One deliberate divergence: retry backoff jitter draws from
-a *per-message* :class:`random.Random` seeded as
-``retry_seed * 1_000_003 + msg_id`` (the engine shares one stream in
-completion order, which has no stable batched analogue), so engine and
-kernel runs only match bit-for-bit when retries are disabled.
+Retry backoff jitter draws from a *per-message* :class:`random.Random`
+seeded as ``retry_seed * 1_000_003 + msg_id``, so a message's backoffs do
+not depend on what other messages did.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -75,42 +79,80 @@ from repro.simulator.message import (
     Message,
     MessageBatch,
 )
-from repro.simulator.network import (
-    _RETRYABLE,
-    Network,
-    _live_tracer,
-    _mutation_subject,
-)
+from repro.simulator.network import Network, _live_tracer, _mutation_subject
 from repro.simulator.recovery import RetryPolicy
 
-__all__ = ["BatchKernel", "run_batch"]
+__all__ = ["BatchKernel", "EventDrivenSimulator", "run_batch"]
 
-_HOP_LATENCY = 1.0
+SCALAR_COHORT = 8
+"""Cohorts with fewer rows skip the mask algebra and run row by row."""
+
+# Drops worth retrying: the condition that caused them can heal as the
+# fault schedule advances (ROUTING_LOOP: as churn repair converges).  A
+# scheme bug (INVALID_FORWARD) cannot.
+_RETRYABLE = frozenset(
+    {
+        DropReason.ENDPOINT_DOWN,
+        DropReason.LINK_DOWN,
+        DropReason.NODE_DOWN,
+        DropReason.HOP_LIMIT,
+        DropReason.NO_ROUTE,
+        DropReason.QUEUE_OVERFLOW,
+        DropReason.TABLE_CORRUPT,
+        DropReason.ROUTING_LOOP,
+    }
+)
 
 
 @dataclass(frozen=True)
 class _RepairTick:
-    """Internal event: plan and apply the repair for one churn generation."""
+    """Internal event: start planning a repair for one churn generation."""
 
     generation: int
 
 
-_Event = Union[FaultEvent, TopologyMutation, _RepairTick]
+@dataclass(frozen=True)
+class _TableInstall:
+    """Internal event: one staggered table install of the active plan."""
+
+    generation: int
+    node: int
+    final: bool
+    """Last install of the plan — convergence finalises after it."""
+
+
+_Event = Union[FaultEvent, TopologyMutation, _RepairTick, _TableInstall]
 _EventEntry = Tuple[float, int, _Event]
+_Rows = Union[int, np.ndarray]
+"""One heap entry's rows: a single row index or an array in push order."""
 
 
 class BatchKernel:
-    """Generation-stepped batch execution of one routing scheme.
+    """Timed execution of one routing scheme over a message batch.
 
-    Accepts the same fault/churn/retry configuration as the event engine
-    (minus service times, queue capacities and rate-staggered installs);
+    Each hop costs ``link_latency`` time units on the wire.  When
+    ``node_service_time`` is positive every node also serialises its
+    forwarding work (one message at a time, FIFO), so traffic
+    concentrating on a node queues up; ``queue_capacity`` (in messages of
+    backlog) turns overload into ``QUEUE_OVERFLOW`` drops.
+
+    ``fault_schedule`` interleaves timed link/node failures and table
+    corruptions with the traffic; a detected corruption quarantines its
+    node and, with ``repair_delay``, heals it that long after detection.
+    ``retry_policy`` re-injects retryable drops at their source after a
+    backoff.  A ``churn_schedule`` mutates the live topology: after
+    ``churn_repair_delay`` a repair plan rebuilds the dirtied tables
+    (``incremental_repair=False`` rebuilds all of them), installed at
+    once or, with ``churn_repair_rate`` (bits per time unit), one by one.
+    Traffic forwarded before convergence is marked ``stale`` and watched
+    for routing loops; :meth:`churn_summary` reports the episodes.
+
     :meth:`inject` schedules messages and :meth:`run` drains them,
-    returning one record per message **in injection order** (the batch's
-    row order — stable across worker counts and lane splits, unlike the
-    engine's completion order).
-
-    ``batch=False`` routes every row through the scalar slow lane — the
-    reference stream the vectorised mode must reproduce bit-for-bit.
+    returning one record per message **in injection order**.  An enabled
+    tracer receives every span with simulated timestamps; ``tracer=None``
+    keeps the untraced lanes free of span calls.  ``batch=False`` routes
+    every row through the scalar step — the reference stream the
+    vectorised mode must reproduce bit-for-bit.
     """
 
     def __init__(
@@ -118,7 +160,10 @@ class BatchKernel:
         scheme: Optional[RoutingScheme] = None,
         *,
         network: Optional[Network] = None,
+        link_latency: float = 1.0,
         failed_links: Iterable[Tuple[int, int]] = (),
+        node_service_time: float = 0.0,
+        queue_capacity: Optional[int] = None,
         failed_nodes: Iterable[int] = (),
         fault_schedule: Optional[FaultSchedule] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -127,15 +172,20 @@ class BatchKernel:
         repair_delay: Optional[float] = None,
         churn_schedule: Optional[ChurnSchedule] = None,
         churn_repair_delay: float = 5.0,
+        churn_repair_rate: Optional[float] = None,
         incremental_repair: bool = True,
         batch: bool = True,
     ) -> None:
-        if network is not None:
-            self._network = network
-        elif scheme is not None:
-            self._network = Network(scheme, failed_links, failed_nodes)
-        else:
-            raise RoutingError("BatchKernel needs a scheme or a network")
+        if link_latency <= 0:
+            raise RoutingError(f"link latency must be positive, got {link_latency}")
+        if node_service_time < 0:
+            raise RoutingError(
+                f"service time must be non-negative, got {node_service_time}"
+            )
+        if queue_capacity is not None and queue_capacity < 1:
+            raise RoutingError(
+                f"queue capacity must be positive, got {queue_capacity}"
+            )
         if repair_delay is not None and repair_delay <= 0:
             raise RoutingError(
                 f"repair delay must be positive, got {repair_delay}"
@@ -144,15 +194,30 @@ class BatchKernel:
             raise RoutingError(
                 f"churn repair delay must be positive, got {churn_repair_delay}"
             )
+        if churn_repair_rate is not None and churn_repair_rate <= 0:
+            raise RoutingError(
+                f"churn repair rate must be positive, got {churn_repair_rate}"
+            )
+        if network is not None:
+            self._network = network
+        elif scheme is not None:
+            self._network = Network(scheme, failed_links, failed_nodes)
+        else:
+            raise RoutingError("BatchKernel needs a scheme or a network")
         if (
             churn_schedule is not None
             and self._network.scheme.address_of(1) != 1
         ):
+            # Repaired schemes re-derive their own labels; only plain-label
+            # addressing survives a table swap mid-flight.
             raise RoutingError(
                 "live topology churn requires a plain-label scheme "
                 "(address_of(u) == u)"
             )
         self._batch = batch
+        self._latency = link_latency
+        self._service = node_service_time
+        self._capacity = queue_capacity
         self._schedule = fault_schedule
         self._retry = retry_policy
         self._retry_seed = retry_seed
@@ -169,14 +234,19 @@ class BatchKernel:
         self._hop_sets: Dict[Tuple[int, int], Set[Tuple[int, Any]]] = {}
         self._addresses: Dict[int, Any] = {}
         self._forward_counts: Dict[int, int] = {}
-        # Live topology churn state (instant installs: no staggered plan).
+        self._busy_until: Dict[int, float] = {}
+        # Live topology churn state.
         self._churn = churn_schedule
         self._churn_delay = churn_repair_delay
+        self._churn_rate = churn_repair_rate
         self._incremental = incremental_repair
         self._base_scheme = self._network.scheme
         self._generation = 0
         self._pending_mutations: List[TopologyMutation] = []
         self._stale_since: Optional[float] = None
+        self._active_plan: Optional[RepairPlan] = None
+        self._plan_installed: Set[int] = set()
+        self._aborted_installs: Set[int] = set()
         self._convergence_times: List[float] = []
         self._churn_stats: Dict[str, int] = {
             "mutations": 0,
@@ -186,6 +256,9 @@ class BatchKernel:
             "bits_rewritten": 0,
             "bits_reused": 0,
         }
+        # Open trace spans for causal links: corrupt span per damaged
+        # node, the latest mutate span (repairs link to it) and the first
+        # mutate span of the current churn episode (converged links to it).
         self._corrupt_spans: Dict[int, int] = {}
         self._mutate_span: Optional[int] = None
         self._episode_root_span: Optional[int] = None
@@ -207,7 +280,11 @@ class BatchKernel:
         self._matrix_complete = False
         self._fwd_vec: Optional[np.ndarray] = None
         self._fwd_pending: List[np.ndarray] = []
-        # Per-row kernel bookkeeping (sized at run()).
+        # Message schedule and per-row bookkeeping (sized at drain()).
+        self._heap: List[Tuple[float, int, _Rows]] = []
+        self._entries = itertools.count()
+        self._push_seq = np.zeros(0, dtype=np.int64)
+        self._next_seq = 0
         self._has_state = np.zeros(0, dtype=bool)
         self.batch: Optional[MessageBatch] = None
 
@@ -239,7 +316,12 @@ class BatchKernel:
         return counts
 
     def churn_summary(self) -> Dict[str, object]:
-        """Episode accounting mirroring the event engine's summary."""
+        """Episode accounting of the last run's churn convergence.
+
+        ``bits_full`` is what full rebuilds would have pushed over the
+        same episodes; ``converged`` reports whether every mutation's
+        repair completed before the run drained.
+        """
         stats = self._churn_stats
         return {
             "mutations": stats["mutations"],
@@ -254,7 +336,12 @@ class BatchKernel:
         }
 
     def inject(self, source: int, destination: int, at_time: float = 0.0) -> None:
-        """Schedule one message (call before :meth:`run`)."""
+        """Schedule one message (call before :meth:`run`).
+
+        Raises :class:`RoutingError` when either endpoint is not a node
+        ``1..n`` of the scheme's graph.
+        """
+        self._network.check_endpoints(source, destination)
         msg_id = next(self._network._counter)
         traced = False
         tracer = self._tracer
@@ -282,17 +369,23 @@ class BatchKernel:
         self._hop_sets = {}
         self._retry_rngs = {}
         self._forward_counts = {}
+        self._busy_until = {}
         self._fwd_vec = None
         self._fwd_pending = []
-        msg_ids = [p[0] for p in self._pending]
-        sources = [p[1] for p in self._pending]
-        destinations = [p[2] for p in self._pending]
-        times = [p[3] for p in self._pending]
-        batch = MessageBatch(msg_ids, sources, destinations, times, self._limit)
-        for i, pending in enumerate(self._pending):
-            batch.traced[i] = pending[4]
-        self._pending = []
+        pending, self._pending = self._pending, []
+        batch = MessageBatch(
+            [p[0] for p in pending],
+            [p[1] for p in pending],
+            [p[2] for p in pending],
+            [p[3] for p in pending],
+            self._limit,
+        )
+        batch.traced[:] = [p[4] for p in pending]
         self._has_state = np.zeros(batch.size, dtype=bool)
+        # Injection order is the first push order.
+        self._push_seq = np.arange(batch.size, dtype=np.int64)
+        self._next_seq = batch.size
+        self._heap = self._injection_entries(batch.injected)
         self.batch = batch
         if self._schedule is not None:
             for event in self._schedule:
@@ -303,25 +396,78 @@ class BatchKernel:
         if self._churn is not None:
             for mutation in self._churn:
                 self._push_control(mutation, mutation.time)
-        while True:
-            if bool(batch.active.any()):
-                now = float(batch.ready[batch.active].min())
-                while self._events and self._events[0][0] <= now:
-                    time, _, payload = heapq.heappop(self._events)
+        heap = self._heap
+        events = self._events
+        # Control events (mutations, repair ticks, installs) keep the loop
+        # alive past the last message so convergence always completes.
+        while heap or self._control_events:
+            if heap:
+                now = heap[0][0]
+                while events and events[0][0] <= now:
+                    time, _, payload = heapq.heappop(events)
                     self._dispatch_event(payload, time)
-                # The retry RNG is seeded from retry_seed and msg_id only;
-                # the simulated clock never feeds it.
-                self._step_cohort(batch, now)  # repro-lint: disable=R010
-            elif self._control_events:
-                if not self._events:  # pragma: no cover - defensive
-                    break
-                time, _, payload = heapq.heappop(self._events)
-                self._dispatch_event(payload, time)
+                self._step_cohort(batch, self._pop_cohort(now), now)
             else:
-                break
-        self._events = []
+                time, _, payload = heapq.heappop(events)
+                self._dispatch_event(payload, time)
+        events.clear()
         self._control_events = 0
         return batch
+
+    # -- message schedule -----------------------------------------------------
+
+    def _injection_entries(
+        self, times: np.ndarray
+    ) -> List[Tuple[float, int, _Rows]]:
+        """One heap entry per distinct injection time, rows in row order.
+
+        Built from a stable sort, so the list is already a valid heap and
+        a burst injected at one time costs one entry, not one per row.
+        """
+        if not times.size:
+            return []
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        entries: List[Tuple[float, int, _Rows]] = []
+        for start, end in zip([0, *cuts], [*cuts, times.size]):
+            rows = order[start:end]
+            entries.append((
+                float(ordered[start]),
+                next(self._entries),
+                int(rows[0]) if rows.size == 1 else rows,
+            ))
+        return entries
+
+    def _push(self, at_time: float, rows: _Rows) -> None:
+        heapq.heappush(self._heap, (at_time, next(self._entries), rows))
+
+    def _pop_cohort(self, now: float) -> _Rows:
+        """Pop every entry due at ``now``; rows come back in push order."""
+        heap = self._heap
+        rows = heapq.heappop(heap)[2]
+        if not heap or heap[0][0] != now:
+            return rows
+        parts = [np.atleast_1d(rows)]
+        while heap and heap[0][0] == now:
+            parts.append(np.atleast_1d(heapq.heappop(heap)[2]))
+        merged = np.concatenate(parts)
+        return merged[np.argsort(self._push_seq[merged], kind="stable")]
+
+    def _number(self, rows: _Rows) -> None:
+        """Give ``rows`` the next push sequence numbers, in their order.
+
+        Rows are numbered when their cohort is taken, before any of them
+        moves, so a row that is pushed again keeps its place in the
+        cohort relative to every other row pushed from it.
+        """
+        if isinstance(rows, int):
+            self._push_seq[rows] = self._next_seq
+            self._next_seq += 1
+            return
+        end = self._next_seq + rows.size
+        self._push_seq[rows] = np.arange(self._next_seq, end)
+        self._next_seq = end
 
     # -- event plumbing -------------------------------------------------------
 
@@ -335,15 +481,17 @@ class BatchKernel:
     def _dispatch_event(self, payload: _Event, now: float) -> None:
         if isinstance(payload, FaultEvent):
             self._apply_timed_fault(payload, now)
+            return
+        self._control_events -= 1
+        if isinstance(payload, TopologyMutation):
+            self._apply_mutation_event(payload, now)
+        elif isinstance(payload, _RepairTick):
+            self._start_repair(payload, now)
         else:
-            self._control_events -= 1
-            if isinstance(payload, TopologyMutation):
-                self._apply_mutation_event(payload, now)
-            else:
-                self._start_repair(payload, now)
+            self._apply_install(payload, now)
 
     def _apply_timed_fault(self, event: FaultEvent, now: float) -> None:
-        """Mirror of the engine's fault application and lifecycle spans.
+        """Apply one scheduled fault, with corruption-lifecycle tracing.
 
         The kernel's own network is untraced, so corruption spans are
         emitted here with simulated timestamps; when the kernel adopts an
@@ -356,6 +504,7 @@ class BatchKernel:
             node = event.subject[0]
             self._network.apply_fault(event)
             self._corrupted_at[node] = now
+            # Fresh damage re-arms detection for this node.
             self._reacted.discard(node)
             if tracer is not None:
                 if not network_traced:
@@ -390,7 +539,7 @@ class BatchKernel:
         self._network.apply_fault(event)
 
     def _on_detection(self, node: int, now: float) -> None:
-        """React once per corruption episode, as the engine does."""
+        """React once per corruption episode: record latency, plan the heal."""
         if node in self._reacted:
             return
         self._reacted.add(node)
@@ -416,16 +565,24 @@ class BatchKernel:
                 ),
             )
 
-    # -- live topology churn (instant installs) -------------------------------
+    # -- live topology churn --------------------------------------------------
 
     def _apply_mutation_event(
         self, mutation: TopologyMutation, now: float
     ) -> None:
+        """Mutate the live topology and (re)arm the repair reaction."""
         self._network.apply_mutation(mutation)
         self._pending_mutations.append(mutation)
         self._churn_stats["mutations"] += 1
         if self._stale_since is None:
             self._stale_since = now
+        if self._active_plan is not None:
+            # A newer mutation invalidates the in-flight repair; whatever
+            # it already installed describes neither the old nor the next
+            # converged graph, so those nodes are forced dirty next plan.
+            self._aborted_installs |= self._plan_installed
+            self._active_plan = None
+            self._plan_installed = set()
         self._generation += 1
         tracer = self._tracer
         if tracer is not None:
@@ -447,14 +604,17 @@ class BatchKernel:
         )
 
     def _start_repair(self, tick: _RepairTick, now: float) -> None:
-        """Plan, install and converge in one step (instant installs)."""
-        if tick.generation != self._generation:
+        """Plan the repair for the current generation and begin installs."""
+        if tick.generation != self._generation or self._active_plan is not None:
             return  # superseded by a newer mutation
         plan = plan_repair(
             self._base_scheme,
             self._network.live_graph,
             full=not self._incremental,
+            extra_dirty=self._aborted_installs,
         )
+        self._active_plan = plan
+        self._plan_installed = set()
         stats = self._churn_stats
         stats["repairs"] += 1
         stats["tables_rebuilt"] += len(plan.dirty)
@@ -462,14 +622,33 @@ class BatchKernel:
         stats["bits_rewritten"] += plan.bits_rewritten
         stats["bits_reused"] += plan.bits_reused
         get_registry().counter("repro_churn_repairs_total").inc()
-        for node, _bits in plan.table_bits:
-            self._install_node(plan, node, now)
-        self._finalize_convergence(plan, now)
+        if not plan.table_bits or self._churn_rate is None:
+            for node, _bits in plan.table_bits:
+                self._install_node(plan, node, now)
+            self._finalize_convergence(now)
+            return
+        elapsed = 0.0
+        last = len(plan.table_bits) - 1
+        for index, (node, bits) in enumerate(plan.table_bits):
+            # Deliberate ratio: bits over a bits-per-time rate is a time.
+            elapsed += bits / self._churn_rate  # repro-lint: disable=R001
+            self._push_control(
+                _TableInstall(tick.generation, node, index == last),
+                now + elapsed,
+            )
 
     def _install_node(self, plan: RepairPlan, node: int, now: float) -> None:
+        """Install one repaired table, decoded from its pristine bits.
+
+        Going through ``decode_function`` on the memoised pristine
+        encoding — the heal machinery's re-install path — rather than the
+        scheme's in-memory function keeps repaired tables on the same
+        serialised-knowledge footing as corruption heals.
+        """
         scheme = plan.new_scheme
         bits = scheme.ctx.pristine_bits(scheme, node)
         self._network.install_table(node, scheme.decode_function(node, bits))
+        self._plan_installed.add(node)
         tracer = self._tracer
         if tracer is not None:
             tracer.repair(
@@ -478,7 +657,18 @@ class BatchKernel:
                 cause=self._mutate_span,
             )
 
-    def _finalize_convergence(self, plan: RepairPlan, now: float) -> None:
+    def _apply_install(self, install: _TableInstall, now: float) -> None:
+        """Apply one staggered install; the final one converges."""
+        if install.generation != self._generation or self._active_plan is None:
+            return  # superseded by a newer mutation
+        self._install_node(self._active_plan, install.node, now)
+        if install.final:
+            self._finalize_convergence(now)
+
+    def _finalize_convergence(self, now: float) -> None:
+        """Swap in the converged scheme and close the churn episode."""
+        plan = self._active_plan
+        assert plan is not None
         self._network.install_scheme(plan.new_scheme)
         self._base_scheme = plan.new_scheme
         histogram = get_registry().histogram("repro_churn_convergence_time")
@@ -497,6 +687,9 @@ class BatchKernel:
             self._episode_root_span = None
         self._pending_mutations = []
         self._stale_since = None
+        self._active_plan = None
+        self._plan_installed = set()
+        self._aborted_installs = set()
 
     # -- vectorised masks -----------------------------------------------------
 
@@ -578,13 +771,16 @@ class BatchKernel:
 
     # -- cohort stepping ------------------------------------------------------
 
-    def _step_cohort(self, batch: MessageBatch, now: float) -> None:
-        rows = np.nonzero(batch.active & (batch.ready == now))[0]
-        if rows.size == 0:  # pragma: no cover - defensive
-            return
-        if not self._batch:
-            for i in rows:
-                self._step_one(batch, int(i), now)
+    def _step_cohort(self, batch: MessageBatch, rows: _Rows, now: float) -> None:
+        """Move every row due at ``now``; ``rows`` is in push order."""
+        self._number(rows)
+        if (
+            isinstance(rows, int)
+            or rows.size < SCALAR_COHORT
+            or not self._batch
+            or self._service > 0
+        ):
+            self._step_rows(batch, rows, now)
             return
         self._refresh_state()
         if (
@@ -651,8 +847,27 @@ class BatchKernel:
             batch.active[deliver_rows] = False
         if fast_rows.size:
             self._advance_fast(batch, fast_rows, nxt[fast], now)
-        for i in rows[slow]:
-            self._step_one(batch, int(i), now)
+        self._step_rows(batch, rows[slow], now)
+
+    def _step_rows(self, batch: MessageBatch, rows: _Rows, now: float) -> None:
+        """The scalar step for each of ``rows``, in their order.
+
+        Without service time every row that forwards arrives at the same
+        time, so they go back on the heap as one entry, in this order.
+        """
+        moved: List[int] = []
+        arrival = now
+        for i in [rows] if isinstance(rows, int) else rows.tolist():
+            forwarded = self._step_one(batch, i, now)
+            if forwarded is None:
+                continue
+            arrival = forwarded
+            if self._service > 0:
+                self._push(arrival, i)
+            else:
+                moved.append(i)
+        if moved:
+            self._push(arrival, moved[0] if len(moved) == 1 else np.array(moved))
 
     def _drain_quiescent(
         self, batch: MessageBatch, rows: np.ndarray, now: float
@@ -660,14 +875,14 @@ class BatchKernel:
         """Advance lockstep cohorts with pure gather/scatter steps.
 
         Entered only when nothing outside a row can perturb it: no
-        failures, overlays or churn (``_all_clear``), no tracer, and no
-        queued events — so rows are mutually independent and the whole
-        cohort can be walked to completion without returning to the
-        event loop.  Rows that arrive deliver unconditionally; rows that
-        carry header state, hit the hop limit or lack a matrix entry
-        leave the lockstep set through the exact scalar step (and, after
-        a retry backoff, re-enter via the outer loop at their own ready
-        time).  Each surviving step is one arrival compare plus one
+        failures, overlays or churn (``_all_clear``), no tracer, no
+        queued events and no node service time — so rows are mutually
+        independent and the whole cohort can be walked to completion
+        without returning to the heap.  Rows that arrive deliver
+        unconditionally; rows that carry header state, hit the hop limit
+        or lack a matrix entry leave the lockstep set through the scalar
+        step, which pushes them back on the heap at their own ready
+        time.  Each surviving step is one arrival compare plus one
         matrix gather — the untraced hot path the throughput bench
         measures.
         """
@@ -719,9 +934,8 @@ class BatchKernel:
                     out = idx[leave]
                     batch.current[out] = cur0[leave] + 1
                     batch.plen[out] = plen[leave]
-                    batch.ready[out] = now
-                    for i in out:
-                        self._step_one(batch, int(i), now)
+                    self._number(out)
+                    self._step_rows(batch, out, now)
                     idx = idx[ok]
                     cur0 = cur0[ok]
                     dst0 = dst0[ok]
@@ -732,7 +946,8 @@ class BatchKernel:
                         # the rest back to the mask-checked path.
                         batch.current[idx] = cur0 + 1
                         batch.plen[idx] = plen
-                        batch.ready[idx] = now
+                        self._number(idx)
+                        self._push(now, idx)
                         break
                     if not idx.size:
                         break
@@ -743,7 +958,7 @@ class BatchKernel:
             batch.path[idx, plen] = nxt
             plen = plen + 1
             cur0 = nxt - 1
-            now += _HOP_LATENCY
+            now += self._latency
             safe_steps -= 1
             needed += 1
         if done_idx:
@@ -752,11 +967,9 @@ class BatchKernel:
             batch.active[done] = False
             batch.current[done] = batch.destination[done]
             batch.plen[done] = np.concatenate(done_plen)
-            times = np.repeat(
+            batch.completed[done] = np.repeat(
                 np.asarray(done_time), [d.size for d in done_idx]
             )
-            batch.completed[done] = times
-            batch.ready[done] = times
 
     def _count_forwards(self, hop_from: np.ndarray) -> None:
         """Accumulate per-node forward counts without a Python loop."""
@@ -773,17 +986,18 @@ class BatchKernel:
         next_nodes: np.ndarray,
         now: float,
     ) -> None:
-        """Scatter one clean hop for every fast-lane row."""
+        """Scatter one clean hop for every fast-lane row; one heap entry."""
         self._count_forwards(batch.current[fast_rows])
         batch.ensure_path_capacity(int(batch.plen[fast_rows].max()) + 1)
         batch.path[fast_rows, batch.plen[fast_rows]] = next_nodes
         batch.plen[fast_rows] += 1
         batch.current[fast_rows] = next_nodes
-        batch.ready[fast_rows] = now + _HOP_LATENCY
+        arrival = now + self._latency
         if self._churn is not None and self._stale_since is not None:
             batch.stale[fast_rows] = True
+        self._push(arrival, fast_rows)
 
-    # -- scalar slow lane (exact engine step) ---------------------------------
+    # -- scalar step ----------------------------------------------------------
 
     def _address_of(self, destination: int) -> Any:
         address = self._addresses.get(destination)
@@ -792,11 +1006,18 @@ class BatchKernel:
             self._addresses[destination] = address
         return address
 
-    def _step_one(self, batch: MessageBatch, i: int, now: float) -> None:
-        """One scalar step for row ``i`` — the engine's run-loop body."""
+    def _step_one(
+        self, batch: MessageBatch, i: int, now: float
+    ) -> Optional[float]:
+        """One scalar step for row ``i``: deliver, drop, retry or forward.
+
+        Returns the arrival time when the row forwarded; the caller puts
+        it back on the heap.
+        """
         nw = self._network
-        current = int(batch.current[i])
-        destination = int(batch.destination[i])
+        current = batch.current.item(i)
+        destination = batch.destination.item(i)
+        hops = batch.plen.item(i) - 1
         if current == destination:
             if current in nw._failed_nodes:
                 self._finish(
@@ -809,7 +1030,6 @@ class BatchKernel:
                 self._finish(batch, i, now, None)
             return
         if current in nw._failed_nodes:
-            hops = int(batch.plen[i]) - 1
             reason = (
                 DropReason.ENDPOINT_DOWN if hops == 0 else DropReason.NODE_DOWN
             )
@@ -827,7 +1047,7 @@ class BatchKernel:
                 subject=node_subject(current),
             )
             return
-        if int(batch.plen[i]) - 1 >= self._limit:
+        if hops >= self._limit:
             self._finish(
                 batch, i, now,
                 DropReason.HOP_LIMIT,
@@ -849,12 +1069,12 @@ class BatchKernel:
                 )
                 return
         message = Message(
-            msg_id=int(batch.msg_id[i]),
-            source=int(batch.source[i]),
+            msg_id=batch.msg_id.item(i),
+            source=batch.source.item(i),
             destination=destination,
             address=self._address_of(destination),
             state=state,
-            attempt=int(batch.attempt[i]),
+            attempt=batch.attempt.item(i),
         )
         try:
             decision = nw._choose_hop(current, message)
@@ -916,50 +1136,69 @@ class BatchKernel:
                 subject=node_subject(next_node),
             )
             return
+        # Serialise forwarding through the node's processor.
+        departure = now
+        if self._service > 0:
+            busy = self._busy_until.get(current, 0.0)
+            backlog = max(busy - now, 0.0)
+            if (
+                self._capacity is not None
+                and backlog / self._service >= self._capacity
+            ):
+                self._finish(
+                    batch, i, now,
+                    DropReason.QUEUE_OVERFLOW,
+                    f"queue overflow at node {current}",
+                    subject=node_subject(current),
+                )
+                return
+            departure = max(now, busy) + self._service
+            self._busy_until[current] = departure
         self._forward_counts[current] = (
             self._forward_counts.get(current, 0) + 1
         )
+        arrival = departure + self._latency
         tracer = self._tracer
-        if tracer is not None and bool(batch.traced[i]):
+        if tracer is not None and batch.traced.item(i):
             tracer.hop(
-                int(batch.msg_id[i]),
+                batch.msg_id.item(i),
                 node=current,
                 next_node=next_node,
-                hop=int(batch.plen[i]) - 1,
+                hop=hops,
                 time=now,
-                duration=_HOP_LATENCY,
-                attempt=int(batch.attempt[i]),
+                duration=arrival - now,
+                attempt=batch.attempt.item(i),
             )
         batch.state[i] = decision.state
         if decision.state is not None:
             self._has_state[i] = True
         batch.append_hop(i, next_node)
-        batch.ready[i] = now + _HOP_LATENCY
+        return arrival
 
     def _looped(
         self, batch: MessageBatch, i: int, current: int, state: Any
     ) -> bool:
-        """The engine's per-attempt ``(node, state)`` revisit check.
+        """The per-attempt ``(node, state)`` revisit check.
 
         While every header state of the attempt has been ``None`` the
-        engine's seen-set is exactly the previously visited nodes, so the
+        seen-set is exactly the previously visited nodes, so the
         path prefix answers membership without a side table.  Once a
         non-``None`` state appears the row is pinned to the slow lane and
         an explicit seen-set takes over, seeded from the (all-``None``)
         path prefix.
         """
         if not self._has_state[i]:
-            plen = int(batch.plen[i])
+            plen = batch.plen.item(i)
             for j in range(plen - 1):
-                if int(batch.path[i, j]) == current:
+                if batch.path.item(i, j) == current:
                     return True
             return False
-        key = (int(batch.msg_id[i]), int(batch.attempt[i]))
+        key = (batch.msg_id.item(i), batch.attempt.item(i))
         seen = self._hop_sets.get(key)
         if seen is None:
             seen = {
-                (int(batch.path[i, j]), None)
-                for j in range(int(batch.plen[i]) - 1)
+                (batch.path.item(i, j), None)
+                for j in range(batch.plen.item(i) - 1)
             }
             self._hop_sets[key] = seen
         entry = (current, state)
@@ -984,14 +1223,14 @@ class BatchKernel:
     ) -> None:
         """Record a final outcome or re-arm the row for a retry."""
         tracer = self._tracer
-        msg_id = int(batch.msg_id[i])
-        source = int(batch.source[i])
-        destination = int(batch.destination[i])
-        attempt = int(batch.attempt[i])
-        traced = bool(batch.traced[i])
-        stale = bool(batch.stale[i])
-        hops = int(batch.plen[i]) - 1
-        injected_at = float(batch.injected[i])
+        msg_id = batch.msg_id.item(i)
+        source = batch.source.item(i)
+        destination = batch.destination.item(i)
+        attempt = batch.attempt.item(i)
+        traced = batch.traced.item(i)
+        stale = batch.stale.item(i)
+        hops = batch.plen.item(i) - 1
+        injected_at = batch.injected.item(i)
         if reason is None:
             if tracer is not None and (traced or stale):
                 if not traced:
@@ -1027,10 +1266,11 @@ class BatchKernel:
                     reason=reason.name,
                     duration=backoff,
                 )
-            batch.reset_for_retry(i, now + backoff)
+            batch.reset_for_retry(i)
+            self._push(now + backoff, i)
             self._has_state[i] = False
             if tracer is not None:
-                # The engine's retry message defaults back to traced.
+                # A retry is traced again, whatever the sampler decided.
                 batch.traced[i] = True
             return
         if tracer is not None:
@@ -1038,7 +1278,7 @@ class BatchKernel:
                 tracer.promote(msg_id, source, destination, injected_at)
             tracer.drop(
                 msg_id,
-                node=int(batch.current[i]),
+                node=batch.current.item(i),
                 reason=reason.name,
                 time=now,
                 detail=detail,
@@ -1065,3 +1305,7 @@ def run_batch(
     for source, destination in pairs:
         kernel.inject(source, destination)
     return kernel.run()
+
+
+EventDrivenSimulator = BatchKernel
+"""The timed engine under its historical name (one class, two names)."""

@@ -1,9 +1,9 @@
 """Message objects carried by the network simulator.
 
 Two representations coexist: the scalar :class:`Message` dataclass the
-walker and event engine pass hop by hop, and the struct-of-arrays
-:class:`MessageBatch` the vectorised kernel (:mod:`repro.simulator.kernel`)
-advances a whole generation at a time.  Both funnel into the same frozen
+untimed walker passes hop by hop (and every forwarding decision reads),
+and the struct-of-arrays :class:`MessageBatch` the timed kernel
+(:mod:`repro.simulator.kernel`) keeps its in-flight messages in.  Both funnel into the same frozen
 :class:`DeliveryRecord`, so everything downstream of the batch boundary
 (metrics, analysis, persistence) is representation-blind.
 """
@@ -152,7 +152,7 @@ class MessageBatch:
     lane reads and writes the same arrays per index, so the two lanes can
     interleave freely without conversion.  Outcomes scatter back out as
     ordinary :class:`DeliveryRecord` objects via :meth:`records`, built by
-    the same field mapping as the scalar engine's record builders.
+    the same field mapping as the untimed walker's record builder.
 
     Per-attempt path prefixes live in a shared ``[size, capacity]`` buffer
     that doubles on demand (:meth:`ensure_path_capacity`) instead of being
@@ -162,7 +162,7 @@ class MessageBatch:
 
     __slots__ = (
         "size", "msg_id", "source", "destination", "current", "attempt",
-        "plen", "stale", "traced", "active", "ready", "injected",
+        "plen", "stale", "traced", "active", "injected",
         "completed", "delivered", "drop_code", "drop_detail", "state",
         "path", "_path_capacity",
     )
@@ -188,8 +188,7 @@ class MessageBatch:
         self.stale = np.zeros(size, dtype=bool)
         self.traced = np.ones(size, dtype=bool)
         self.active = np.ones(size, dtype=bool)
-        self.ready = np.asarray(inject_times, dtype=np.float64).copy()
-        self.injected = self.ready.copy()
+        self.injected = np.asarray(inject_times, dtype=np.float64).copy()
         self.completed = np.full(size, math.nan, dtype=np.float64)
         self.delivered = np.zeros(size, dtype=bool)
         self.drop_code = np.full(size, NO_DROP, dtype=np.int32)
@@ -245,10 +244,10 @@ class MessageBatch:
         self.completed[i] = time
         self.active[i] = False
 
-    def reset_for_retry(self, i: int, ready_at: float) -> None:
-        """Re-arm row ``i`` as a fresh attempt from its source at ``ready_at``.
+    def reset_for_retry(self, i: int) -> None:
+        """Re-arm row ``i`` as a fresh attempt from its source.
 
-        Mirrors the event engine's retry ``Message``: path, header state
+        A retry starts over as a fresh attempt: path, header state
         and the staleness mark reset; the attempt counter advances; the
         first injection time is preserved for latency accounting.
         """
@@ -260,7 +259,6 @@ class MessageBatch:
         self.stale[i] = False
         self.drop_code[i] = NO_DROP
         self.drop_detail[i] = None
-        self.ready[i] = ready_at
 
     def record(self, i: int) -> DeliveryRecord:
         """Row ``i``'s outcome as a frozen :class:`DeliveryRecord`."""

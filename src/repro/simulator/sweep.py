@@ -41,6 +41,7 @@ from repro.simulator.workloads import (
 )
 
 __all__ = [
+    "default_model",
     "SweepTask",
     "SweepResult",
     "run_task",
@@ -52,8 +53,8 @@ _VARIANTS = ("plain", "chaos", "corruption", "churn")
 _WORKLOADS = ("uniform", "hotspot", "permutation")
 
 
-def _default_model(scheme: str) -> RoutingModel:
-    """The CLI's per-scheme default model (kept in sync with repro.cli)."""
+def default_model(scheme: str) -> RoutingModel:
+    """The per-scheme default model of the CLI and of sweep replicas."""
     if scheme == "thm2-neighbor-labels":
         return RoutingModel(Knowledge.II, Labeling.GAMMA)
     if scheme in ("interval", "chain-comparison"):
@@ -145,7 +146,7 @@ def _task_pairs(task: SweepTask, graph: object) -> List[Tuple[int, int]]:
 
 def _task_kernel(task: SweepTask) -> Tuple[BatchKernel, List[Tuple[int, int]]]:
     graph = gnp_random_graph(task.n, seed=task.graph_seed)
-    scheme = build_scheme(task.scheme, graph, _default_model(task.scheme))
+    scheme = build_scheme(task.scheme, graph, default_model(task.scheme))
     retry = (
         RetryPolicy(
             max_attempts=task.retries + 1, base_delay=task.retry_base_delay

@@ -22,12 +22,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import available_schemes, build_scheme
+from repro.errors import RoutingError
 from repro.graphs import gnp_random_graph, path_graph
 from repro.models import Knowledge, Labeling, RoutingModel
 from repro.observability import NULL_TRACER, RecordingTracer, SamplingTracer
 from repro.simulator import (
     BatchKernel,
     EventDrivenSimulator,
+    Network,
     RetryPolicy,
     SweepTask,
     run_sweep,
@@ -60,11 +62,16 @@ def _scheme(name):
     return build_scheme(name, graph, II_GAMMA), graph
 
 
-def _injections(graph, messages, seed, horizon=30.0):
+def _injections(graph, messages, seed, horizon=30.0, burst=False):
+    """Random pairs at uniform times, or (``burst``) at times 0..3 only,
+    so cohorts are large enough for the vectorised lanes."""
     clock = random.Random(seed)
     nodes = sorted(graph.nodes)
     return [
-        (*clock.sample(nodes, 2), clock.uniform(0.0, horizon))
+        (
+            *clock.sample(nodes, 2),
+            float(clock.randrange(4)) if burst else clock.uniform(0.0, horizon),
+        )
         for _ in range(messages)
     ]
 
@@ -84,21 +91,32 @@ def fault_cases(draw):
     scheme_name = draw(st.sampled_from(ALL_SCHEMES))
     seed = draw(st.integers(0, 3))
     variant = draw(st.sampled_from(("static", "chaos", "corruption")))
-    messages = draw(st.integers(1, 20))
+    burst = draw(st.booleans())
+    messages = draw(st.integers(1, 40 if burst else 20))
     retries = draw(st.integers(0, 2))
-    return scheme_name, seed, variant, messages, retries
+    latency = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    # (node_service_time, queue_capacity): no queues, FIFO queues, and
+    # FIFO queues that overflow.
+    queues = draw(st.sampled_from(((0.0, None), (0.4, None), (0.4, 1))))
+    return (
+        scheme_name, seed, variant, burst, messages, retries, latency, queues
+    )
 
 
 @given(fault_cases())
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_batch_matches_scalar_under_faults(case):
-    """Bit-identical records, all 11 schemes, faults and retries on."""
-    scheme_name, seed, variant, messages, retries = case
+    """Bit-identical records, all 11 schemes, faults, retries, latency
+    and queues on."""
+    (
+        scheme_name, seed, variant, burst, messages, retries, latency, queues
+    ) = case
     scheme, graph = _scheme(scheme_name)
+    service, capacity = queues
     kwargs = {
         "retry_policy": (
             RetryPolicy(max_attempts=retries + 1, base_delay=0.5)
@@ -106,6 +124,9 @@ def test_batch_matches_scalar_under_faults(case):
             else None
         ),
         "retry_seed": seed,
+        "link_latency": latency,
+        "node_service_time": service,
+        "queue_capacity": capacity,
     }
     if variant == "static":
         # keep_connected=False: a chain has no expendable links, and the
@@ -129,7 +150,7 @@ def test_batch_matches_scalar_under_faults(case):
             graph, max(graph.n // 4, 1), horizon=40.0, seed=seed
         )
         kwargs["repair_delay"] = 6.0
-    injections = _injections(graph, messages, seed)
+    injections = _injections(graph, messages, seed, burst=burst)
     batched = _run(scheme, injections, True, **kwargs)
     scalar = _run(scheme, injections, False, **kwargs)
     assert batched == scalar
@@ -140,24 +161,50 @@ def test_batch_matches_scalar_under_faults(case):
 def test_batch_matches_scalar_under_churn(scheme_name):
     graph = gnp_random_graph(18, seed=11)
     scheme = build_scheme(scheme_name, graph, II_ALPHA)
-    injections = _injections(graph, 80, seed=5, horizon=35.0)
     kwargs = {
         "retry_policy": RetryPolicy(max_attempts=3, base_delay=0.5),
         "retry_seed": 5,
         "churn_repair_delay": 4.0,
     }
-    results = {}
-    for batch in (True, False):
-        kernel = BatchKernel(
-            scheme,
-            batch=batch,
-            churn_schedule=random_churn(graph, 6, horizon=30.0, seed=7),
-            **kwargs,
-        )
-        for source, destination, at_time in injections:
-            kernel.inject(source, destination, at_time)
-        results[batch] = (kernel.run(), kernel.churn_summary())
-    assert results[True] == results[False]
+    # Instant installs, and installs staggered at 400 bits per time unit,
+    # under spread and (vectorised lanes) burst arrivals.
+    for repair_rate, burst in ((None, False), (400.0, False), (400.0, True)):
+        injections = _injections(graph, 80, seed=5, horizon=35.0, burst=burst)
+        results = {}
+        for batch in (True, False):
+            kernel = BatchKernel(
+                scheme,
+                batch=batch,
+                churn_schedule=random_churn(graph, 6, horizon=30.0, seed=7),
+                churn_repair_rate=repair_rate,
+                **kwargs,
+            )
+            for source, destination, at_time in injections:
+                kernel.inject(source, destination, at_time)
+            results[batch] = (kernel.run(), kernel.churn_summary())
+        assert results[True] == results[False]
+
+
+# -- inject validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (5, 0), (5, 17), (-1, 3)])
+def test_inject_rejects_nodes_outside_the_graph(pair):
+    """Out-of-range ids raise RoutingError naming the node.
+
+    numpy would otherwise wrap a negative id onto a real row (a bogus
+    delivery from node 0) or leak a bare IndexError past ``n``.
+    """
+    graph = gnp_random_graph(16, seed=5)
+    scheme = build_scheme("full-table", graph, II_ALPHA)
+    bad = next(node for node in pair if not 1 <= node <= graph.n)
+    for sim in (BatchKernel(scheme), EventDrivenSimulator(scheme)):
+        with pytest.raises(RoutingError, match=f"node {bad} outside"):
+            sim.inject(*pair)
+    with pytest.raises(RoutingError, match=f"node {bad} outside"):
+        Network(scheme).route_batch([pair])
+    with pytest.raises(RoutingError, match=f"node {bad} outside"):
+        Network(scheme).route(*pair)
 
 
 # -- kernel vs. the event-driven engine ---------------------------------------
@@ -216,24 +263,25 @@ def test_sampled_tracing_promotion_matches_scalar():
     """Sampled tracing (with anomaly promotion) stays bit-identical."""
     graph = gnp_random_graph(16, seed=21)
     scheme = build_scheme("full-table", graph, II_ALPHA)
-    injections = _injections(graph, 60, seed=17)
     schedule = renewal_faults(
         graph, horizon=40.0, seed=17, link_count=6, node_count=1
     )
-    streams = {}
-    for batch in (True, False):
-        tracer = SamplingTracer(RecordingTracer(), rate=0.1, seed=3)
-        records = _run(
-            scheme,
-            injections,
-            batch,
-            fault_schedule=schedule,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
-            retry_seed=17,
-            tracer=tracer,
-        )
-        streams[batch] = (records, tracer._sink.events)
-    assert streams[True] == streams[False]
+    for burst in (False, True):
+        injections = _injections(graph, 60, seed=17, burst=burst)
+        streams = {}
+        for batch in (True, False):
+            tracer = SamplingTracer(RecordingTracer(), rate=0.1, seed=3)
+            records = _run(
+                scheme,
+                injections,
+                batch,
+                fault_schedule=schedule,
+                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.5),
+                retry_seed=17,
+                tracer=tracer,
+            )
+            streams[batch] = (records, tracer._sink.events)
+        assert streams[True] == streams[False]
 
 
 # -- sweep driver determinism -------------------------------------------------
