@@ -157,6 +157,55 @@ def test_batch_matches_scalar_under_faults(case):
     assert len(batched) == messages
 
 
+@st.composite
+def quiet_cases(draw):
+    scheme_name = draw(st.sampled_from(ALL_SCHEMES))
+    seed = draw(st.integers(0, 3))
+    messages = draw(st.integers(1, 40))
+    # Share of the messages injected as one burst at t=0; the rest
+    # arrive at distinct float times.
+    burst_share = draw(st.sampled_from((0.0, 0.0, 0.5)))
+    retries = draw(st.integers(0, 2))
+    latency = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    return scheme_name, seed, messages, burst_share, retries, latency
+
+
+@given(quiet_cases())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_batch_matches_scalar_without_faults(case):
+    """Fault-free runs with distinct float arrivals (the quiescent drain):
+    bit-identical records and forward counts, stateful schemes included."""
+    scheme_name, seed, messages, burst_share, retries, latency = case
+    scheme, graph = _scheme(scheme_name)
+    injections = _injections(graph, messages, seed, horizon=40.0)
+    burst = int(messages * burst_share)
+    injections = [
+        (source, destination, 0.0)
+        for source, destination, _ in injections[:burst]
+    ] + injections[burst:]
+    kwargs = {
+        "retry_policy": (
+            RetryPolicy(max_attempts=retries + 1, base_delay=0.5)
+            if retries
+            else None
+        ),
+        "retry_seed": seed,
+        "link_latency": latency,
+    }
+    results = {}
+    for batch in (True, False):
+        kernel = BatchKernel(scheme, batch=batch, **kwargs)
+        for source, destination, at_time in injections:
+            kernel.inject(source, destination, at_time)
+        results[batch] = (kernel.run(), kernel.forward_counts)
+    assert results[True] == results[False]
+    assert len(results[True][0]) == messages
+
+
 @pytest.mark.parametrize("scheme_name", CHURN_SCHEMES)
 def test_batch_matches_scalar_under_churn(scheme_name):
     graph = gnp_random_graph(18, seed=11)

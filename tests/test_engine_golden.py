@@ -17,6 +17,13 @@ same-time ordering shows in the span stream) with uniform draws.  Each
 case is also run untraced, through the vectorised lanes the tracer
 would otherwise bypass, and must give the same records.
 
+A second, untraced set (``SPREAD_GOLDEN``) pins fault-free runs whose
+messages all arrive at distinct float times over a horizon, so no two
+share a ready time.  Those runs take the quiescent drain, which carries
+one clock per row; their digests cover the records (sorted by
+``msg_id``) and ``forward_counts``, across link latencies, a hop-limit
+cap and jitter-free retries.
+
 To print the digests of the current code, run
 ``PYTHONPATH=src python tests/test_engine_golden.py``.
 """
@@ -47,6 +54,7 @@ from repro.simulator.churn import TopologyMutationKind, random_churn
 from repro.simulator.failures import sample_link_failures, sample_node_failures
 
 II_ALPHA = RoutingModel(Knowledge.II, Labeling.ALPHA)
+II_GAMMA = RoutingModel(Knowledge.II, Labeling.GAMMA)
 GRAPH_SEED = 101
 MESSAGES = 64
 NO_JITTER = RetryPolicy(max_attempts=3, base_delay=0.75, jitter=0.0)
@@ -64,7 +72,12 @@ def _scheme(name):
         return DetourWrapper(_scheme("full-information"))
     if name.startswith("crc8-"):
         return IntegrityWrapper(_scheme(name[5:]), FramingPolicy.CRC8)
-    return build_scheme(name, _graph(), II_ALPHA)
+    return build_scheme(name, _graph(), _model(name))
+
+
+def _model(name):
+    """Interval routing relabels nodes; every other scheme keeps labels."""
+    return II_GAMMA if name == "interval" else II_ALPHA
 
 
 def _injections(seed):
@@ -352,7 +365,132 @@ def test_engine_reproduces_golden_digest(config, scheme_name):
     assert untraced_records == traced_records
 
 
+# -- fault-free runs with distinct float arrivals -----------------------------
+
+SPREAD_MESSAGES = 160
+SPREAD_HORIZON = 40.0
+HOP_CAPS = {"full-table": 1, "thm5-probe": 3, "interval": 3}
+"""Hop limits of the capped cases, set so that some routes drop."""
+
+
+@lru_cache(maxsize=None)
+def _capped_scheme(name):
+    """A fresh build of ``name`` whose hop limit is ``HOP_CAPS[name]``."""
+    scheme = build_scheme(name, _graph(), _model(name))
+    scheme.hop_limit = lambda: HOP_CAPS[name]
+    return scheme
+
+
+def _spread_injections(seed):
+    clock = random.Random(seed)
+    nodes = sorted(_graph().nodes)
+    return [
+        (*clock.sample(nodes, 2), clock.uniform(0.0, SPREAD_HORIZON))
+        for _ in range(SPREAD_MESSAGES)
+    ]
+
+
+SPREAD_CONFIGS = {
+    "spread": {},
+    "spread-latency-0.5": {"link_latency": 0.5},
+    "spread-latency-1.5": {"link_latency": 1.5},
+    "spread-retry": {"retry_policy": NO_JITTER, "link_latency": 1.5},
+    "spread-hop-limit": {},
+    "spread-hop-limit-retry": {"retry_policy": NO_JITTER},
+}
+
+SPREAD_SCHEMES = ("full-table", "thm1-two-level", "thm5-probe", "interval")
+SPREAD_CASES = [
+    *((config, scheme) for config in ("spread", "spread-latency-0.5",
+                                      "spread-latency-1.5", "spread-retry")
+      for scheme in SPREAD_SCHEMES),
+    *((config, scheme) for config in ("spread-hop-limit",
+                                      "spread-hop-limit-retry")
+      for scheme in HOP_CAPS),
+]
+
+
+def _spread_digest(config, scheme_name):
+    """Records and forward counts of one untraced spread-arrival run."""
+    if config.startswith("spread-hop-limit"):
+        scheme = _capped_scheme(scheme_name)
+    else:
+        scheme = _scheme(scheme_name)
+    sim = EventDrivenSimulator(scheme, **SPREAD_CONFIGS[config])
+    for source, destination, at in _spread_injections(config):
+        sim.inject(source, destination, at)
+    records = sorted(sim.run(), key=lambda r: r.msg_id)
+    h = hashlib.sha256()
+    for part in (
+        [_record_fields(record) for record in records],
+        sorted(sim.forward_counts.items()),
+    ):
+        h.update(repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+SPREAD_GOLDEN = {
+    "spread/full-table":
+        "149c6bc0dbb911a34d797f6d1bdbdf865e3e2fe34cf5ac04e6835d7fb9dcbe3e",
+    "spread/thm1-two-level":
+        "149c6bc0dbb911a34d797f6d1bdbdf865e3e2fe34cf5ac04e6835d7fb9dcbe3e",
+    "spread/thm5-probe":
+        "1e14f8f8e69eb5baab2f3d034261bac3daf97e0b4c5f73fb415f3d531fb64a17",
+    "spread/interval":
+        "81bbe77bc4ec65771bb7829134c20665066fe07b7f2784e1d03d407783964e84",
+    "spread-latency-0.5/full-table":
+        "2f5b24fa82501cccead59bb3dca585564439d4a2dd99b4123d5bb5f06c60dd15",
+    "spread-latency-0.5/thm1-two-level":
+        "2f5b24fa82501cccead59bb3dca585564439d4a2dd99b4123d5bb5f06c60dd15",
+    "spread-latency-0.5/thm5-probe":
+        "0feca511116d66235989f9c6c9e07ff10b6bd4269231ba0a1f076c30998294e5",
+    "spread-latency-0.5/interval":
+        "edc6e0cdfd3b66088e107c1378ccff75ea440d09fb5341cd16ba945905f40f2e",
+    "spread-latency-1.5/full-table":
+        "a1b25f97ce46f0e01c870cf5f403bc0e720b0d3ce2cec18448af892b8c3dc8c8",
+    "spread-latency-1.5/thm1-two-level":
+        "a1b25f97ce46f0e01c870cf5f403bc0e720b0d3ce2cec18448af892b8c3dc8c8",
+    "spread-latency-1.5/thm5-probe":
+        "ad4ea9c8f26b0d0b77f0d47a8595e03866dd59ea68387b75fc4e9642222a0a91",
+    "spread-latency-1.5/interval":
+        "6dfd7085f90ed6a912bb1763ba0ca14b9dde3981c1d76c17c235de7139aaaf71",
+    "spread-retry/full-table":
+        "d95a71c7688f7171da56f9108432b5ba449e055ad00269db25f8d65c3ebaf1bf",
+    "spread-retry/thm1-two-level":
+        "d95a71c7688f7171da56f9108432b5ba449e055ad00269db25f8d65c3ebaf1bf",
+    "spread-retry/thm5-probe":
+        "8dc3b244d37b0a14140deb3adac49cc1dd167860c1194d006b72feb665733678",
+    "spread-retry/interval":
+        "c4b5a737136ddcb4b080c9a786a1eca2f8d7f0db5f7380ff465601ffb641b326",
+    "spread-hop-limit/full-table":
+        "9bf7d41604c853bb5c81a7da2aa9ac1bd67a273e557e383b6fd72feb4a275be8",
+    "spread-hop-limit/thm5-probe":
+        "909a919d6bb799a708df58c55449c42a6be6f1b26a10bfbd46c92579ccca8774",
+    "spread-hop-limit/interval":
+        "48d1578ce370faf3e5dbd29abfff9ca5011456c32763f3469f89c8eec4522cce",
+    "spread-hop-limit-retry/full-table":
+        "6c41cd1e599b4f7896b4e5acfb070f329e1426a7a468cabd3a88fc7fedfa29cc",
+    "spread-hop-limit-retry/thm5-probe":
+        "f98d18bc60c4c3bc81be2d4f1b204a054e877f1119ce895df44ae887185edf70",
+    "spread-hop-limit-retry/interval":
+        "dc61e4abd1894763e97b411e8764ef6735f558f13acf5be6d31b50068f1d686d",
+}
+
+
+@pytest.mark.parametrize(("config", "scheme_name"), SPREAD_CASES)
+def test_spread_arrivals_reproduce_golden_digest(config, scheme_name):
+    assert (
+        _spread_digest(config, scheme_name)
+        == SPREAD_GOLDEN[f"{config}/{scheme_name}"]
+    )
+
+
 if __name__ == "__main__":  # pragma: no cover - digest recorder
     for config, scheme_name in CASES:
         print(f'    "{config}/{scheme_name}":\n'
               f'        "{_digest(config, scheme_name)[0]}",')
+    print()
+    for config, scheme_name in SPREAD_CASES:
+        print(f'    "{config}/{scheme_name}":\n'
+              f'        "{_spread_digest(config, scheme_name)}",')
