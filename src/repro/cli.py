@@ -100,7 +100,7 @@ import random
 import subprocess
 import sys
 import time as _time
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core import available_schemes, build_scheme, route_message, verify_scheme
 from repro.core.persistence import pack_scheme
@@ -262,7 +262,8 @@ def _workers_parent() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, metavar="N",
         help="run N seed replicas (seed..seed+N-1) through the "
              "multiprocessing sweep driver and print aggregate results "
-             "(replicas use the kernel-expressible core of this command; "
+             "(replicas take the flags a sweep task carries; any other "
+             "flag set away from its default is an error; "
              "tracing/metrics flags apply only to single runs)",
     )
     return parent
@@ -815,41 +816,65 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.ok() else 1
 
 
+# Flags every replica sweep honours (tracing and metrics are documented
+# as single-run only; chaos checks its schedule itself).
+_SWEEP_FLAGS = frozenset({
+    "command", "scheme", "n", "seed", "messages", "workload", "workers",
+    "batch", "json", "trace_out", "metrics_out", "schedule",
+})
+_RETRY_KNOBS = {
+    "horizon": "horizon", "retries": "retries",
+    "backoff_base": "retry_base_delay",
+}
+# Per sweep variant: CLI flag (argparse dest) -> SweepTask field.
+_SWEEP_KNOBS: Dict[str, Dict[str, str]] = {
+    "plain": {"failures": "failures", "node_failures": "node_failures"},
+    "chaos": {**_RETRY_KNOBS, "chaos_links": "chaos_links",
+              "chaos_nodes": "chaos_nodes"},
+    "corruption": {**_RETRY_KNOBS, "corrupt_nodes": "corrupt_nodes",
+                   "repair_delay": "repair_delay"},
+    "churn": {**_RETRY_KNOBS, "events": "churn_events",
+              "repair_delay": "churn_repair_delay"},
+}
+
+
 def _cmd_sweep_replicas(args: argparse.Namespace, variant: str) -> int:
     """Shard N seed replicas of a simulate command over worker processes.
 
     Each replica is a :class:`~repro.simulator.sweep.SweepTask` built from
-    the command's kernel-expressible knobs; records never cross the
-    process boundary, only per-replica aggregates and record digests.
+    the command's knobs that a task carries; any other flag set away from
+    its parser default is refused (exit 2) rather than silently dropped.
+    Records never cross the process boundary, only per-replica
+    aggregates and record digests.
     """
     if args.workload not in ("uniform", "hotspot", "permutation"):
         print(f"--workers sweeps support uniform/hotspot/permutation "
               f"workloads, not {args.workload!r}", file=sys.stderr)
+        return 2
+    carried = _SWEEP_KNOBS[variant]
+    defaults = vars(
+        _build_parser().parse_args([args.command, args.scheme, str(args.n)])
+    )
+    dropped = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest not in _SWEEP_FLAGS
+        and dest not in carried
+        and value != defaults.get(dest)
+    ]
+    if dropped:
+        print(f"--workers replicas do not support {', '.join(dropped)}; "
+              f"run without --workers", file=sys.stderr)
         return 2
     knobs: dict = {
         "messages": args.messages,
         "workload": args.workload,
         "variant": variant,
         "batch": True,
+        **{field: getattr(args, dest) for dest, field in carried.items()},
     }
-    if variant == "plain":
-        knobs["failures"] = args.failures
-        knobs["node_failures"] = args.node_failures
-    else:
-        knobs["horizon"] = args.horizon
-        knobs["retries"] = args.retries
-        knobs["retry_base_delay"] = args.backoff_base
-    if variant == "chaos":
-        knobs["chaos_links"] = args.chaos_links
-        knobs["chaos_nodes"] = args.chaos_nodes
-    elif variant == "corruption":
-        knobs["corrupt_nodes"] = args.corrupt_nodes
-        knobs["repair_delay"] = (
-            args.repair_delay if args.repair_delay > 0 else None
-        )
-    elif variant == "churn":
-        knobs["churn_events"] = args.events
-        knobs["churn_repair_delay"] = args.repair_delay
+    if variant == "corruption" and args.repair_delay <= 0:
+        knobs["repair_delay"] = None  # a negative delay disables healing
     tasks = seed_replicas(
         args.scheme, args.n, graph_seed=args.seed, base_seed=args.seed,
         count=args.workers, **knobs,

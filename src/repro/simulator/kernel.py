@@ -10,11 +10,24 @@ due at the same time.
 Messages are scheduled on a heap of ``(ready time, entry, rows)``
 entries.  Every row carries the sequence number of its last push, so the
 rows due at one time (a *cohort*) are taken in push order: injection
-order first, then the order in which earlier cohorts moved them.  A
-cohort of fewer than :data:`SCALAR_COHORT` rows, or any cohort while
+order first, then the order in which earlier cohorts moved them.
+
+While nothing outside a row can change its route — no tracer, churn
+schedule, pending event, node service time, failure or overlay — every
+route is fixed at injection and arrival times only shift timestamps.
+The drain then takes the **whole heap** at once into the quiescent drain
+(:meth:`BatchKernel._drain_quiescent`), which carries one clock per row
+(one float for a same-time burst) and walks every row to completion:
+lockstep gather/scatter steps through the next-hop matrix, and the
+scalar step at each row's own clock for rows that leave the lockstep.
+This holds from the start of a fault-free run, and again once the last
+control event has run and left the network clear.
+
+Otherwise the heap is stepped one cohort at a time.  A cohort of fewer
+than :data:`SCALAR_COHORT` rows, or any cohort while
 ``node_service_time`` is positive (nodes then share a FIFO processor),
-runs row by row through the scalar step.  A larger cohort splits into two
-lanes:
+runs row by row through the scalar step.  A larger cohort splits into
+two lanes:
 
 * the **fast lane** — messages whose next step is provably a clean
   advance or a clean delivery.  Eligibility is decided by pure numpy mask
@@ -34,12 +47,14 @@ lanes:
 
 Because fast-lane eligibility is deliberately conservative — a row is
 fast only when no shared state it touches can change within its cohort —
-``batch=True`` and ``batch=False`` (every row through the scalar step)
-produce **bit-identical** :class:`~repro.simulator.message.DeliveryRecord`
-streams and span streams.  That equivalence is the batch boundary's
-contract, enforced by a hypothesis property over every registered scheme
-with chaos, churn, corruption, link latency and queues enabled, and by
-traced runs that compare span streams.
+and quiescent rows share no state at all, ``batch=True`` and
+``batch=False`` (every row through the scalar step, one cohort at a
+time) produce **bit-identical**
+:class:`~repro.simulator.message.DeliveryRecord` streams and span
+streams.  That equivalence is the batch boundary's contract, enforced by
+hypothesis properties over every registered scheme with chaos, churn,
+corruption, link latency and queues enabled or with distinct float
+arrivals and no faults, and by traced runs that compare span streams.
 
 Retry backoff jitter draws from a *per-message* :class:`random.Random`
 seeded as ``retry_seed * 1_000_003 + msg_id``, so a message's backoffs do
@@ -125,6 +140,13 @@ _Event = Union[FaultEvent, TopologyMutation, _RepairTick, _TableInstall]
 _EventEntry = Tuple[float, int, _Event]
 _Rows = Union[int, np.ndarray]
 """One heap entry's rows: a single row index or an array in push order."""
+_Clock = Union[float, np.ndarray]
+"""Ready time of a set of rows: one shared float, or one float per row."""
+
+
+def _take(clock: _Clock, mask: np.ndarray) -> _Clock:
+    """The clock of the rows ``mask`` selects; a shared clock is kept."""
+    return clock[mask] if isinstance(clock, np.ndarray) else clock
 
 
 class BatchKernel:
@@ -402,6 +424,10 @@ class BatchKernel:
         # alive past the last message so convergence always completes.
         while heap or self._control_events:
             if heap:
+                if self._quiescent():
+                    rows, clock = self._pop_all()
+                    self._drain_quiescent(batch, rows, clock)
+                    continue
                 now = heap[0][0]
                 while events and events[0][0] <= now:
                     time, _, payload = heapq.heappop(events)
@@ -429,13 +455,16 @@ class BatchKernel:
         order = np.argsort(times, kind="stable")
         ordered = times[order]
         cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        starts = [0, *cuts]
+        rows = order.tolist()
         entries: List[Tuple[float, int, _Rows]] = []
-        for start, end in zip([0, *cuts], [*cuts, times.size]):
-            rows = order[start:end]
+        for at, start, end in zip(
+            ordered[starts].tolist(), starts, [*cuts, times.size]
+        ):
             entries.append((
-                float(ordered[start]),
+                at,
                 next(self._entries),
-                int(rows[0]) if rows.size == 1 else rows,
+                rows[start] if end - start == 1 else order[start:end],
             ))
         return entries
 
@@ -453,6 +482,25 @@ class BatchKernel:
             parts.append(np.atleast_1d(heapq.heappop(heap)[2]))
         merged = np.concatenate(parts)
         return merged[np.argsort(self._push_seq[merged], kind="stable")]
+
+    def _pop_all(self) -> Tuple[np.ndarray, _Clock]:
+        """Empty the heap: every row with its ready time, in heap order.
+
+        The clock is one float when every entry is due at the same time
+        (a burst), else a float64 array aligned with the rows.
+        """
+        heap = self._heap
+        times = [entry[0] for entry in heap]
+        parts = [entry[2] for entry in heap]
+        heap.clear()
+        if all(isinstance(part, int) for part in parts):
+            rows = np.array(parts, dtype=np.intp)
+        else:
+            rows = np.concatenate([np.atleast_1d(part) for part in parts])
+        if min(times) == max(times):
+            return rows, times[0]
+        sizes = [1 if isinstance(part, int) else part.size for part in parts]
+        return rows, np.repeat(np.array(times), sizes)
 
     def _number(self, rows: _Rows) -> None:
         """Give ``rows`` the next push sequence numbers, in their order.
@@ -693,6 +741,24 @@ class BatchKernel:
 
     # -- vectorised masks -----------------------------------------------------
 
+    def _quiescent(self) -> bool:
+        """Whether no row's route can change from here on.
+
+        True in batch mode with no tracer, churn schedule, pending event
+        or node service time, on a network with no failure or overlay
+        (checked last: it may rebuild the cached masks).
+        """
+        if (
+            not self._batch
+            or self._tracer is not None
+            or self._churn is not None
+            or self._events
+            or self._service > 0
+        ):
+            return False
+        self._refresh_state()
+        return self._all_clear
+
     def _refresh_state(self) -> None:
         """Rebuild the cached masks when the network's state epoch moved."""
         nw = self._network
@@ -783,15 +849,6 @@ class BatchKernel:
             self._step_rows(batch, rows, now)
             return
         self._refresh_state()
-        if (
-            self._all_clear
-            and self._tracer is None
-            and self._churn is None
-            and not self._events
-            and self._matrix is not None
-        ):
-            self._drain_quiescent(batch, rows, now)
-            return
         node_down = self._node_down
         quar_like = self._quar_like
         override = self._override
@@ -870,25 +927,30 @@ class BatchKernel:
             self._push(arrival, moved[0] if len(moved) == 1 else np.array(moved))
 
     def _drain_quiescent(
-        self, batch: MessageBatch, rows: np.ndarray, now: float
+        self, batch: MessageBatch, rows: np.ndarray, clock: _Clock
     ) -> None:
-        """Advance lockstep cohorts with pure gather/scatter steps.
+        """Walk every row to completion, each at its own clock.
 
-        Entered only when nothing outside a row can perturb it: no
-        failures, overlays or churn (``_all_clear``), no tracer, no
-        queued events and no node service time — so rows are mutually
-        independent and the whole cohort can be walked to completion
-        without returning to the heap.  Rows that arrive deliver
-        unconditionally; rows that carry header state, hit the hop limit
-        or lack a matrix entry leave the lockstep set through the scalar
-        step, which pushes them back on the heap at their own ready
-        time.  Each surviving step is one arrival compare plus one
-        matrix gather — the untraced hot path the throughput bench
-        measures.
+        Entered only when nothing outside a row can perturb it (see
+        :meth:`_quiescent`), so rows are mutually independent and each
+        route is fixed: arrival times only shift timestamps.  ``clock``
+        is one float when all rows share a ready time, else one float per
+        row; either advances by ``link_latency`` per step — the repeated
+        addition the scalar step does, so completion times are
+        bit-identical to the scalar lane.
+
+        Rows advance in lockstep: one arrival compare plus one next-hop
+        matrix gather per step — the untraced hot path the throughput
+        bench measures; arrivals deliver unconditionally.  Rows that
+        carry header state, hit the hop limit or lack a matrix entry —
+        every row, for a scheme without a matrix — leave the lockstep
+        and walk to completion through the scalar step (:meth:`_walk`)
+        without a heap round trip; only a retry goes back on the heap.
         """
         matrix = self._matrix
-        assert matrix is not None
-        nw = self._network
+        if matrix is None:
+            self._walk(batch, rows, clock)
+            return
         limit = self._limit
         idx = rows
         # Row position is kept in compacted local copies; the shared
@@ -908,13 +970,13 @@ class BatchKernel:
         # shot after the loop; nothing inside the drain reads them back.
         done_idx: List[np.ndarray] = []
         done_plen: List[np.ndarray] = []
-        done_time: List[float] = []
+        done_time: List[_Clock] = []
         while True:
             arrived = cur0 == dst0
             if arrived.any():
                 done_idx.append(idx[arrived])
                 done_plen.append(plen[arrived])
-                done_time.append(now)
+                done_time.append(_take(clock, arrived))
                 keep = ~arrived
                 idx = idx[keep]
                 if not idx.size:
@@ -922,6 +984,7 @@ class BatchKernel:
                 cur0 = cur0[keep]
                 dst0 = dst0[keep]
                 plen = plen[keep]
+                clock = _take(clock, keep)
             nxt = matrix[cur0, dst0]
             if state_any or safe_steps <= 0 or not complete:
                 ok = nxt >= 1
@@ -934,20 +997,19 @@ class BatchKernel:
                     out = idx[leave]
                     batch.current[out] = cur0[leave] + 1
                     batch.plen[out] = plen[leave]
-                    self._number(out)
-                    self._step_rows(batch, out, now)
+                    out_clock = _take(clock, leave)
                     idx = idx[ok]
                     cur0 = cur0[ok]
                     dst0 = dst0[ok]
                     plen = plen[ok]
                     nxt = nxt[ok]
-                    if nw.state_epoch != self._mask_epoch:
+                    clock = _take(clock, ok)
+                    if not self._walk(batch, out, out_clock):
                         # A slow row touched shared network state; hand
                         # the rest back to the mask-checked path.
                         batch.current[idx] = cur0 + 1
                         batch.plen[idx] = plen
-                        self._number(idx)
-                        self._push(now, idx)
+                        self._push_back(idx, clock)
                         break
                     if not idx.size:
                         break
@@ -958,7 +1020,7 @@ class BatchKernel:
             batch.path[idx, plen] = nxt
             plen = plen + 1
             cur0 = nxt - 1
-            now += self._latency
+            clock += self._latency
             safe_steps -= 1
             needed += 1
         if done_idx:
@@ -967,9 +1029,43 @@ class BatchKernel:
             batch.active[done] = False
             batch.current[done] = batch.destination[done]
             batch.plen[done] = np.concatenate(done_plen)
-            batch.completed[done] = np.repeat(
-                np.asarray(done_time), [d.size for d in done_idx]
-            )
+            batch.completed[done] = np.concatenate([
+                np.broadcast_to(times, part.shape)
+                for times, part in zip(done_time, done_idx)
+            ])
+
+    def _walk(
+        self, batch: MessageBatch, rows: np.ndarray, clock: _Clock
+    ) -> bool:
+        """Scalar-step each of ``rows`` to completion at its own clock.
+
+        A retry goes back on the heap (:meth:`_finish` pushes it).
+        Returns False when a step moved the network's state epoch; the
+        rows not yet walked are then back on the heap at their own times.
+        """
+        nw = self._network
+        times = np.broadcast_to(clock, rows.shape)
+        ready = times.tolist()
+        for k in range(rows.size):
+            i = rows.item(k)
+            at: Optional[float] = ready[k]
+            while at is not None:
+                at = self._step_one(batch, i, at)
+                if nw.state_epoch != self._mask_epoch:
+                    rest, rest_times = rows[k + 1:], times[k + 1:]
+                    if at is not None:
+                        rest = np.concatenate(([i], rest))
+                        rest_times = np.concatenate(([at], rest_times))
+                    self._push_back(rest, rest_times)
+                    return False
+        return True
+
+    def _push_back(self, rows: np.ndarray, clock: _Clock) -> None:
+        """Return ``rows`` to the heap at their own times, in this order."""
+        self._number(rows)
+        times = np.broadcast_to(clock, rows.shape).tolist()
+        for i, at in zip(rows.tolist(), times):
+            self._push(at, i)
 
     def _count_forwards(self, hop_from: np.ndarray) -> None:
         """Accumulate per-node forward counts without a Python loop."""
@@ -1120,7 +1216,7 @@ class BatchKernel:
                     f"{current} forwarded to non-adjacent {next_node}",
                 )
             return
-        if frozenset((current, next_node)) in nw._failed:
+        if nw._failed and frozenset((current, next_node)) in nw._failed:
             self._finish(
                 batch, i, now,
                 DropReason.LINK_DOWN,

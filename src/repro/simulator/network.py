@@ -137,6 +137,9 @@ class Network:
         # routing decision; the batch kernel keys its cached boolean masks
         # on it so unchanged state costs zero mask rebuilds per generation.
         self._state_epoch = 0
+        # Per-node blocked neighbours, valid for one state epoch.
+        self._blocked_epoch = -1
+        self._blocked_memo: Dict[int, Tuple[List[int], FrozenSet[int]]] = {}
 
     @property
     def scheme(self) -> RoutingScheme:
@@ -417,6 +420,26 @@ class Network:
     def _blocked_neighbors(
         self, node: int, destination: Optional[int] = None
     ) -> List[int]:
+        """The neighbours of ``node`` a fault-aware function must avoid.
+
+        Memoised per node for one state epoch.  Only a quarantined
+        neighbour depends on ``destination`` (it is avoided unless it is
+        the destination), so those are kept apart and filtered per call.
+        """
+        if self._blocked_epoch != self._state_epoch:
+            self._blocked_memo = {}
+            self._blocked_epoch = self._state_epoch
+        entry = self._blocked_memo.get(node)
+        if entry is None:
+            entry = self._blocked_memo[node] = self._blocked_entry(node)
+        blocked, quarantine_only = entry
+        if destination not in quarantine_only:
+            return list(blocked)
+        return [nb for nb in blocked if nb != destination]
+
+    def _blocked_entry(self, node: int) -> Tuple[List[int], FrozenSet[int]]:
+        """Blocked neighbours of ``node`` in neighbour-set order, and the
+        subset blocked only by quarantine."""
         # Quarantined nodes refuse to forward but can still *receive*:
         # the destination itself is never routed around.  Under churn an
         # edge absent from the live graph is as unusable as a failed one,
@@ -424,14 +447,19 @@ class Network:
         neighbors = self._scheme.graph.neighbor_set(node)
         if self._churned:
             neighbors = neighbors | self._live_graph.neighbor_set(node)
-        return [
-            nb
-            for nb in neighbors
-            if frozenset((node, nb)) in self._failed
-            or nb in self._failed_nodes
-            or (nb in self._quarantined and nb != destination)
-            or (self._churned and not self._live_graph.has_edge(node, nb))
-        ]
+        blocked: List[int] = []
+        quarantine_only: Set[int] = set()
+        for nb in neighbors:
+            if (
+                frozenset((node, nb)) in self._failed
+                or nb in self._failed_nodes
+                or (self._churned and not self._live_graph.has_edge(node, nb))
+            ):
+                blocked.append(nb)
+            elif nb in self._quarantined:
+                blocked.append(nb)
+                quarantine_only.add(nb)
+        return blocked, frozenset(quarantine_only)
 
     def _choose_hop(self, node: int, message: Message) -> HopDecision:
         """One forwarding decision, honouring failures where possible.

@@ -90,7 +90,11 @@ def _run(scheme, injections, batch, **kwargs):
 def fault_cases(draw):
     scheme_name = draw(st.sampled_from(ALL_SCHEMES))
     seed = draw(st.integers(0, 3))
-    variant = draw(st.sampled_from(("static", "chaos", "corruption")))
+    # "quiet": no faults and no queues, so the batched lane takes the
+    # quiescent drain (one clock per row for distinct float arrivals).
+    variant = draw(
+        st.sampled_from(("static", "chaos", "corruption", "quiet"))
+    )
     burst = draw(st.booleans())
     messages = draw(st.integers(1, 40 if burst else 20))
     retries = draw(st.integers(0, 2))
@@ -98,6 +102,8 @@ def fault_cases(draw):
     # (node_service_time, queue_capacity): no queues, FIFO queues, and
     # FIFO queues that overflow.
     queues = draw(st.sampled_from(((0.0, None), (0.4, None), (0.4, 1))))
+    if variant == "quiet":
+        queues = (0.0, None)
     return (
         scheme_name, seed, variant, burst, messages, retries, latency, queues
     )
@@ -105,13 +111,13 @@ def fault_cases(draw):
 
 @given(fault_cases())
 @settings(
-    max_examples=60,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_batch_matches_scalar_under_faults(case):
-    """Bit-identical records, all 11 schemes, faults, retries, latency
-    and queues on."""
+    """Bit-identical records and forward counts, all 11 schemes, faults,
+    retries, latency and queues on, or no faults at all."""
     (
         scheme_name, seed, variant, burst, messages, retries, latency, queues
     ) = case
@@ -145,57 +151,12 @@ def test_batch_matches_scalar_under_faults(case):
             link_count=graph.edge_count // 3,
             node_count=2,
         )
-    else:
+    elif variant == "corruption":
         kwargs["fault_schedule"] = table_corruption(
             graph, max(graph.n // 4, 1), horizon=40.0, seed=seed
         )
         kwargs["repair_delay"] = 6.0
     injections = _injections(graph, messages, seed, burst=burst)
-    batched = _run(scheme, injections, True, **kwargs)
-    scalar = _run(scheme, injections, False, **kwargs)
-    assert batched == scalar
-    assert len(batched) == messages
-
-
-@st.composite
-def quiet_cases(draw):
-    scheme_name = draw(st.sampled_from(ALL_SCHEMES))
-    seed = draw(st.integers(0, 3))
-    messages = draw(st.integers(1, 40))
-    # Share of the messages injected as one burst at t=0; the rest
-    # arrive at distinct float times.
-    burst_share = draw(st.sampled_from((0.0, 0.0, 0.5)))
-    retries = draw(st.integers(0, 2))
-    latency = draw(st.sampled_from((0.5, 1.0, 1.5)))
-    return scheme_name, seed, messages, burst_share, retries, latency
-
-
-@given(quiet_cases())
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_batch_matches_scalar_without_faults(case):
-    """Fault-free runs with distinct float arrivals (the quiescent drain):
-    bit-identical records and forward counts, stateful schemes included."""
-    scheme_name, seed, messages, burst_share, retries, latency = case
-    scheme, graph = _scheme(scheme_name)
-    injections = _injections(graph, messages, seed, horizon=40.0)
-    burst = int(messages * burst_share)
-    injections = [
-        (source, destination, 0.0)
-        for source, destination, _ in injections[:burst]
-    ] + injections[burst:]
-    kwargs = {
-        "retry_policy": (
-            RetryPolicy(max_attempts=retries + 1, base_delay=0.5)
-            if retries
-            else None
-        ),
-        "retry_seed": seed,
-        "link_latency": latency,
-    }
     results = {}
     for batch in (True, False):
         kernel = BatchKernel(scheme, batch=batch, **kwargs)
@@ -204,6 +165,36 @@ def test_batch_matches_scalar_without_faults(case):
         results[batch] = (kernel.run(), kernel.forward_counts)
     assert results[True] == results[False]
     assert len(results[True][0]) == messages
+
+
+@pytest.mark.parametrize("scheme_name", ("thm5-probe", "tree-cover"))
+def test_quiescent_drain_hands_back_rows_when_state_moves(scheme_name):
+    """A scalar step that moves the state epoch mid-drain sends the rest
+    of the drain back to the heap; with no real state change the records
+    must not move."""
+    scheme, graph = _scheme(scheme_name)
+    injections = _injections(graph, 60, seed=2, horizon=40.0)
+
+    def run(bump_at):
+        kernel = BatchKernel(scheme)
+        step_one = kernel._step_one
+        calls = []
+
+        def step(batch, i, now):
+            arrival = step_one(batch, i, now)
+            calls.append(i)
+            if len(calls) in bump_at:
+                kernel.network._state_epoch += 1
+            return arrival
+
+        kernel._step_one = step
+        for source, destination, at_time in injections:
+            kernel.inject(source, destination, at_time)
+        return kernel.run(), kernel.forward_counts, len(calls)
+
+    records, counts, steps = run(set())
+    assert steps > 0
+    assert run({1, 5, steps // 2}) == (records, counts, steps)
 
 
 @pytest.mark.parametrize("scheme_name", CHURN_SCHEMES)

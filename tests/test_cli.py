@@ -124,6 +124,42 @@ class TestCommands:
             main(["build", "no-such-scheme", "16"])
 
 
+class TestWorkerReplicas:
+    """``--workers`` refuses flags a sweep task cannot carry."""
+
+    def test_churn_repair_rate_is_refused(self, capsys):
+        assert main([
+            "simulate-churn", "full-table", "32", "--events", "4",
+            "--workers", "2", "--repair-rate", "500",
+        ]) == 2
+        assert "--repair-rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("command", "flags", "named"), [
+        ("simulate-chaos", ["--schedule", "renewal", "--detour"],
+         "--detour"),
+        ("simulate-chaos", ["--schedule", "renewal", "--mttr", "2"],
+         "--mttr"),
+        ("simulate-corruption", ["--framing", "none"], "--framing"),
+        ("simulate-corruption", ["--flips", "3"], "--flips"),
+        ("simulate-churn", ["--full-rebuild", "--kinds", "all"], "--kinds"),
+        ("simulate-churn", ["--jitter", "0.2"], "--jitter"),
+        ("simulate", ["--model", "II.gamma"], "--model"),
+    ])
+    def test_dropped_flags_are_named(self, command, flags, named, capsys):
+        assert main(
+            [command, "full-table", "24", "--workers", "2", *flags]
+        ) == 2
+        assert named in capsys.readouterr().err
+
+    def test_carried_flags_still_run(self, capsys):
+        assert main([
+            "simulate-churn", "full-table", "24", "--events", "2",
+            "--messages", "20", "--workers", "2", "--retries", "1",
+            "--repair-delay", "3",
+        ]) == 0
+        assert "aggregate:" in capsys.readouterr().out
+
+
 class TestObservabilityFlags:
     def test_simulate_json_output(self, capsys):
         assert main(
